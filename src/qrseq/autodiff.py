@@ -174,19 +174,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _track(out, (a, b), step)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("sub", a, b)
-    out = Tensor(a.value - b.value)
-
-    def step(g):
-        if a.requires_grad:
-            a.grad += g
-        if b.requires_grad:
-            b.grad -= g
-
-    return _track(out, (a, b), step)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("mul", a, b)
     out = Tensor(a.value * b.value)

@@ -40,8 +40,7 @@ class InteractionLog:
         self.sequences = sequences  # sequences[i] belongs to internal user i+1
         self.user_ids = user_ids  # external id of internal user i+1
         self.item_ids = item_ids  # external id of internal item i+1
-        self._item_sets: dict[int, frozenset[int]] = {}
-        self._complements: dict[int, np.ndarray] = {}
+        self._seen: dict[int, np.ndarray] = {}
 
     @property
     def user_count(self) -> int:
@@ -60,22 +59,11 @@ class InteractionLog:
             raise IndexError(f"user id {user} out of range 1..{self.user_count}")
         return self.sequences[user - 1]
 
-    def user_item_set(self, user: int) -> frozenset[int]:
-        cached = self._item_sets.get(user)
+    def seen_items(self, user: int) -> np.ndarray:
+        """Distinct items the user interacted with, ascending."""
+        cached = self._seen.get(user)
         if cached is None:
-            cached = frozenset(self.items_of(user))
-            self._item_sets[user] = cached
-        return cached
-
-    def unseen_items(self, user: int) -> np.ndarray:
-        """Items the user never interacted with, ascending."""
-        cached = self._complements.get(user)
-        if cached is None:
-            owned = self.user_item_set(user)
-            cached = np.array(
-                [i for i in range(1, self.item_count + 1) if i not in owned], dtype=np.intp
-            )
-            self._complements[user] = cached
+            cached = self._seen[user] = np.unique(np.asarray(self.items_of(user), dtype=np.intp))
         return cached
 
     @classmethod
@@ -352,11 +340,18 @@ def make_splits(log: InteractionLog, seq_len: int = 5) -> SplitDataset:
 
 def sample_negatives(log: InteractionLog, user: int, k: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Draw k distinct items the user never interacted with, uniformly."""
-    pool = log.unseen_items(user)
-    if k > len(pool):
+    """Draw k distinct items the user never interacted with, uniformly.
+
+    Draws positions j among the ascending unseen items and maps each to its
+    item without building the complement: offsets[i] counts the unseen items
+    below the i-th seen one, so j-th unseen = j + 1 + #{offsets <= j}.
+    """
+    seen = log.seen_items(user)
+    n_unseen = log.item_count - len(seen)
+    if k > n_unseen:
         raise SamplingError(
-            f"user {user}: requested {k} negatives but only {len(pool)} items are unseen"
+            f"user {user}: requested {k} negatives but only {n_unseen} items are unseen"
         )
-    idx = rng.choice(len(pool), size=k, replace=False)
-    return pool[idx]
+    j = rng.choice(n_unseen, size=k, replace=False)
+    offsets = seen - np.arange(1, len(seen) + 1)
+    return j + 1 + offsets.searchsorted(j, "right")

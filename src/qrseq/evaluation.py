@@ -70,21 +70,22 @@ class MetricsReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def target_ranks(scores) -> np.ndarray:
+    """1-based rank of column 0 in each row of a (U, C) score matrix.
+
+    Every other candidate not strictly below the target counts against it:
+    ties do, and so does a NaN on either side, so a NaN target ranks last.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    return 1 + (~(s[:, 1:] < s[:, :1])).sum(axis=1)
+
+
 def rank_target(scores: Mapping[int, float], target_id: int) -> int:
-    """1-based rank of the target; every tie counts against it."""
+    """1-based rank of the target among scored candidates (see `target_ranks`)."""
     if target_id not in scores:
         raise ValueError(f"target {target_id} is not among the scored candidates")
-    target_score = scores[target_id]
-    greater = 0
-    ties = 0
-    for cand, s in scores.items():
-        if cand == target_id:
-            continue
-        if s > target_score:
-            greater += 1
-        elif s == target_score:
-            ties += 1
-    return 1 + greater + ties
+    others = [s for cand, s in scores.items() if cand != target_id]
+    return int(target_ranks([[scores[target_id], *others]])[0])
 
 
 def user_metrics(rank: int, k: int) -> tuple[float, float, float]:
@@ -113,7 +114,7 @@ def evaluate(scorer, split: str, log: InteractionLog, splits: SplitDataset,
     for user, target in zip(users, targets):
         user = int(user)
         stream = rng_streams.stream(config.seed, "eval-candidates", split, user)
-        available = log.item_count - len(log.user_item_set(user))
+        available = log.item_count - len(log.seen_items(user))
         n_neg = min(config.num_negatives, available)
         if n_neg < config.num_negatives:
             warnings.append(
@@ -126,20 +127,20 @@ def evaluate(scorer, split: str, log: InteractionLog, splits: SplitDataset,
     by_width: dict[int, list[int]] = {}
     for i, row in enumerate(candidate_rows):
         by_width.setdefault(len(row), []).append(i)
-    scores_per_user: list[np.ndarray | None] = [None] * len(users)
-    for width, rows in by_width.items():
+    group_ranks = np.empty(len(users), dtype=np.intp)
+    for rows in by_width.values():
         sel = np.asarray(rows)
         cand_matrix = np.stack([candidate_rows[i] for i in rows])
-        scored = scorer.score_batch(users[sel], contexts[sel], cand_matrix)
-        for j, i in enumerate(rows):
-            scores_per_user[i] = scored[j]
+        scored = np.asarray(scorer.score_batch(users[sel], contexts[sel], cand_matrix))
+        if scored.shape != cand_matrix.shape:
+            raise ValueError(
+                f"scorer returned shape {scored.shape} for candidates {cand_matrix.shape}"
+            )
+        group_ranks[sel] = target_ranks(scored)
 
-    ranks: list[int] = []
+    ranks = group_ranks.tolist()
     ap_sum = recall_sum = ndcg_sum = 0.0
-    for i, (user, target) in enumerate(zip(users, targets)):
-        row_scores = dict(zip((int(c) for c in candidate_rows[i]), scores_per_user[i]))
-        rank = rank_target(row_scores, int(target))
-        ranks.append(rank)
+    for rank in ranks:
         ap, recall, ndcg = user_metrics(rank, config.k)
         ap_sum += ap
         recall_sum += recall

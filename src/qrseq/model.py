@@ -31,6 +31,8 @@ CHECKPOINT_VERSION = 1
 
 INIT_STD = 0.01
 
+SCORE_CHUNK = 128  # users per eval-mode forward in ModelScorer
+
 
 @dataclass
 class ModelConfig:
@@ -251,13 +253,16 @@ def conv_gates(x: Tensor, filters: Sequence[Tensor], bias: Tensor | None = None)
     return _conv_gate_columns(_matrix_columns(x), filters, bias)
 
 
-def _pool_columns(columns: Sequence[Tensor], gates: Sequence[Tensor]) -> list[Tensor]:
+def _pool_columns(columns: Sequence[Tensor], forget_gates: Sequence[Tensor],
+                  output_gates: Sequence[Tensor] | None = None) -> list[Tensor]:
+    """fo-pooling: c_t = f_t*c_{t-1} + (1-f_t)*x_t with c_0 = 0; the hidden
+    state is h_t = o_t*c_t with output gates, else c_t itself."""
     hidden: list[Tensor] = []
-    state = None  # initial state is zero, so the first retain term vanishes
-    for x_t, f_t in zip(columns, gates):
+    cell = None  # initial state is zero, so the first retain term vanishes
+    for t, (x_t, f_t) in enumerate(zip(columns, forget_gates)):
         take = ad.mul(ad.one_minus(f_t), x_t)
-        state = take if state is None else ad.add(ad.mul(f_t, state), take)
-        hidden.append(state)
+        cell = take if cell is None else ad.add(ad.mul(f_t, cell), take)
+        hidden.append(cell if output_gates is None else ad.mul(output_gates[t], cell))
     return hidden
 
 
@@ -268,19 +273,6 @@ def dynamic_average_pool(x: Tensor, gates: Sequence[Tensor]) -> list[Tensor]:
     return _pool_columns(_matrix_columns(x), gates)
 
 
-def _output_pool_columns(columns: Sequence[Tensor], forget_gates: Sequence[Tensor],
-                         output_gates: Sequence[Tensor]) -> tuple[list[Tensor], list[Tensor]]:
-    cells: list[Tensor] = []
-    hidden: list[Tensor] = []
-    cell = None
-    for x_t, f_t, o_t in zip(columns, forget_gates, output_gates):
-        take = ad.mul(ad.one_minus(f_t), x_t)
-        cell = take if cell is None else ad.add(ad.mul(f_t, cell), take)
-        cells.append(cell)
-        hidden.append(ad.mul(o_t, cell))
-    return hidden, cells
-
-
 def output_gate_pool(x: Tensor, forget_gates: Sequence[Tensor],
                      output_gates: Sequence[Tensor]) -> list[Tensor]:
     """Gated variant: c_t = f_t*c_{t-1} + (1-f_t)*x_t, h_t = o_t*c_t, c_0 = 0."""
@@ -289,8 +281,7 @@ def output_gate_pool(x: Tensor, forget_gates: Sequence[Tensor],
             f"expected {x.shape[1]} forget and output gates, "
             f"got {len(forget_gates)} and {len(output_gates)}"
         )
-    hidden, _ = _output_pool_columns(_matrix_columns(x), forget_gates, output_gates)
-    return hidden
+    return _pool_columns(_matrix_columns(x), forget_gates, output_gates)
 
 
 def _parse_aggregation(strategy: str) -> tuple[str, str]:
@@ -364,20 +355,14 @@ def predict_scores(o: Tensor, user_ids, store: ParameterStore, candidate_ids) ->
 class ScaleTrace:
     """Values recorded for one scale: indexed [layer][timestep], each (d, B)."""
 
-    scale: int
-    forget_gates: list[list[np.ndarray]]
-    hidden: list[list[np.ndarray]]
+    forget_gates: list[list[np.ndarray]] = field(default_factory=list)
+    hidden: list[list[np.ndarray]] = field(default_factory=list)
     output_gates: list[list[np.ndarray]] | None = None
-    cells: list[list[np.ndarray]] | None = None
-    aggregate: np.ndarray | None = None
 
 
 @dataclass
 class ForwardTrace:
     scales: dict[int, ScaleTrace] = field(default_factory=dict)
-    combined: np.ndarray | None = None  # aggregate over scales, before output dropout
-    input_dropout_masks: list[np.ndarray] | None = None
-    output_dropout_mask: np.ndarray | None = None
 
 
 def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -404,56 +389,41 @@ def forward_batch(store: ParameterStore, item_ids, user_ids, candidate_ids,
         raise ValueError("train-mode forward needs an rng for dropout")
 
     trace = ForwardTrace()
-    batch = ids.shape[0]
-    d = config.latent_dim
-
     if config.scales:
         columns = _embedding_columns(store, ids)
         if train and config.dropout > 0.0:
-            masks = [_dropout_mask(c.shape, config.dropout, rng) for c in columns]
-            columns = [ad.mul(c, ad.constant(m)) for c, m in zip(columns, masks)]
-            trace.input_dropout_masks = masks
+            columns = [
+                ad.mul(c, ad.constant(_dropout_mask(c.shape, config.dropout, rng)))
+                for c in columns
+            ]
 
-        inner, outer = _parse_aggregation(config.aggregation)
-        per_scale_reduced: list[Tensor] = []
+        hidden_seqs: list[list[Tensor]] = []
         for w in config.scales:
-            strace = ScaleTrace(scale=w, forget_gates=[], hidden=[])
-            if config.use_output_gate:
-                strace.output_gates = []
-                strace.cells = []
-            layer_input = columns
+            strace = trace.scales[w] = ScaleTrace(
+                output_gates=[] if config.use_output_gate else None
+            )
+            hidden = columns
             for layer in range(config.num_layers):
                 f_gates = _conv_gate_columns(
-                    layer_input, store.forget_filters(w, layer), store.forget_bias(w, layer)
+                    hidden, store.forget_filters(w, layer), store.forget_bias(w, layer)
                 )
+                o_gates = None
                 if config.use_output_gate:
                     o_gates = _conv_gate_columns(
-                        layer_input, store.output_filters(w, layer), store.output_bias(w, layer)
+                        hidden, store.output_filters(w, layer), store.output_bias(w, layer)
                     )
-                    hidden, cells = _output_pool_columns(layer_input, f_gates, o_gates)
                     strace.output_gates.append([g.value for g in o_gates])
-                    strace.cells.append([c.value for c in cells])
-                else:
-                    hidden = _pool_columns(layer_input, f_gates)
+                hidden = _pool_columns(hidden, f_gates, o_gates)
                 strace.forget_gates.append([g.value for g in f_gates])
                 strace.hidden.append([h.value for h in hidden])
-                layer_input = hidden
-            reduced = _inner_reduce(layer_input, inner)
-            strace.aggregate = reduced.value
-            per_scale_reduced.append(reduced)
-            trace.scales[w] = strace
+            hidden_seqs.append(hidden)
 
-        combined = _sum_tensors(per_scale_reduced)
-        if outer == "M":
-            combined = ad.scale(combined, 1.0 / len(per_scale_reduced))
-        trace.combined = combined.value
+        combined = aggregate(hidden_seqs, config.aggregation)
         if train and config.dropout > 0.0:
             mask = _dropout_mask(combined.shape, config.dropout, rng)
             combined = ad.mul(combined, ad.constant(mask))
-            trace.output_dropout_mask = mask
     else:
-        combined = ad.constant(np.zeros((d, batch)))
-        trace.combined = combined.value
+        combined = ad.constant(np.zeros((config.latent_dim, ids.shape[0])))
 
     scores = predict_scores(combined, user_ids, store, candidate_ids)
     return scores, trace
@@ -471,17 +441,16 @@ def forward(item_ids, user_id, candidate_ids, store: ParameterStore,
 class ModelScorer:
     """Read-only eval-mode scoring interface used by the evaluation loop."""
 
-    def __init__(self, store: ParameterStore, chunk_size: int = 128):
+    def __init__(self, store: ParameterStore):
         self.store = store
-        self.chunk_size = chunk_size
 
     def score_batch(self, user_ids, contexts, candidate_ids) -> np.ndarray:
         users = np.asarray(user_ids, dtype=np.intp)
         ctx = np.asarray(contexts, dtype=np.intp)
         cands = np.asarray(candidate_ids, dtype=np.intp)
         out = np.empty(cands.shape, dtype=np.float64)
-        for lo in range(0, len(users), self.chunk_size):
-            hi = lo + self.chunk_size
+        for lo in range(0, len(users), SCORE_CHUNK):
+            hi = lo + SCORE_CHUNK
             scores, _ = forward_batch(self.store, ctx[lo:hi], users[lo:hi], cands[lo:hi])
             out[lo:hi] = scores.value
         return out

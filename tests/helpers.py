@@ -87,6 +87,14 @@ def oracle_rank(candidate_ids, scores, target_id) -> int:
     return len(scores) - below
 
 
+def reference_negatives(log: InteractionLog, user: int, k: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Negative draw through the explicit complement array, the reference for
+    `sample_negatives`: the same positions index the ascending unseen items."""
+    unseen = np.setdiff1d(np.arange(1, log.item_count + 1), log.items_of(user))
+    return unseen[rng.choice(len(unseen), size=k, replace=False)]
+
+
 # ---------------------------------------------------------------------------
 # synthetic datasets
 

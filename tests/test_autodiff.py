@@ -175,7 +175,6 @@ def test_gradients_of_simple_ops():
     c = rng.normal(size=(3, 4))
     _check_op_gradient(lambda x, y: ad.matmul(x, y), a, b)
     _check_op_gradient(lambda x, y: ad.mul(x, y), a, c)
-    _check_op_gradient(lambda x, y: ad.sub(x, y), a, c)
     _check_op_gradient(lambda x: ad.sigmoid(x), a)
     _check_op_gradient(lambda x: ad.softplus(x), 3.0 * a)
     _check_op_gradient(lambda x: ad.one_minus(x), a)

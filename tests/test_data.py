@@ -17,6 +17,7 @@ from qrseq.data import (
     sample_negatives,
 )
 from qrseq.errors import EmptyDatasetError, ParseError, SamplingError
+from helpers import reference_negatives
 
 FIXTURE = Path(__file__).parent / "data" / "interactions_fixture.csv"
 GOLDEN = Path(__file__).parent / "data" / "preprocess_golden.json"
@@ -296,3 +297,18 @@ def test_insufficient_pool_raises():
     log = InteractionLog.from_sequences([[1, 2, 3, 4]], 5)
     with pytest.raises(SamplingError):
         sample_negatives(log, 1, 2, rng_streams.stream(0, "neg"))
+
+
+def test_sampling_matches_complement_reference_draw():
+    rng = np.random.default_rng(21)
+    for trial in range(300):
+        item_count = int(rng.integers(2, 60))
+        length = int(rng.integers(1, 2 * item_count))
+        history = rng.integers(1, item_count + 1, size=length).tolist()  # repeats items
+        log = InteractionLog.from_sequences([history], item_count)
+        n_unseen = item_count - len(set(history))
+        for k in {0, min(3, n_unseen), n_unseen}:
+            got = sample_negatives(log, 1, k, rng_streams.stream(trial, "neg", k))
+            want = reference_negatives(log, 1, k, rng_streams.stream(trial, "neg", k))
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()

@@ -13,6 +13,7 @@ from qrseq.evaluation import (
     evaluate,
     poprec_baseline,
     rank_target,
+    target_ranks,
     user_metrics,
 )
 from helpers import oracle_rank, uniform_log
@@ -43,6 +44,11 @@ class TargetOracleScorer:
 class ConstantScorer:
     def score_batch(self, user_ids, contexts, candidate_ids):
         return np.zeros(np.asarray(candidate_ids).shape)
+
+
+class NaNScorer:
+    def score_batch(self, user_ids, contexts, candidate_ids):
+        return np.full(np.asarray(candidate_ids).shape, np.nan)
 
 
 # -- rank_target -------------------------------------------------------------
@@ -76,6 +82,14 @@ def test_rank_matches_sort_oracle_on_random_scores():
         target = int(rng.integers(1, n + 1))
         mapping = dict(zip(cands.tolist(), scores.tolist()))
         assert rank_target(mapping, target) == oracle_rank(cands, scores, target)
+
+
+def test_nan_target_ranks_last():
+    assert rank_target({1: float("nan"), 2: 0.0, 3: 1.0}, 1) == 3
+
+
+def test_nan_negative_counts_against_target():
+    assert target_ranks([[1.0, float("nan"), 0.0]]).tolist() == [2]
 
 
 # -- user_metrics ---------------------------------------------------------------
@@ -208,6 +222,24 @@ def test_short_candidate_pool_falls_back_with_warning():
     assert len(report.warnings) == 3
     assert "negatives available" in report.warnings[0]
     assert all(rank == 9 for rank in report.ranks)  # 8 unseen items + target
+
+
+def test_nan_scores_rank_last_with_zero_recall():
+    log, splits = eval_setup(num_users=10)
+    config = EvalConfig(seed=0, num_negatives=20)
+    report = evaluate(NaNScorer(), "test", log, splits, config)
+    assert report.ranks == [config.num_negatives + 1] * 10
+    assert report.recall == 0.0 and report.ndcg == 0.0
+
+
+def test_scorer_shape_mismatch_fails():
+    class Truncating:
+        def score_batch(self, user_ids, contexts, candidate_ids):
+            return np.zeros(np.asarray(candidate_ids).shape)[:, :-1]
+
+    log, splits = eval_setup(num_users=5)
+    with pytest.raises(ValueError, match="shape"):
+        evaluate(Truncating(), "test", log, splits, EvalConfig(seed=0))
 
 
 def test_report_json_schema():
