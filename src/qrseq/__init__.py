@@ -7,7 +7,6 @@ from .model import (
     ModelConfig,
     ModelScorer,
     ParameterStore,
-    forward,
     forward_batch,
     load_checkpoint,
     save_checkpoint,
@@ -33,7 +32,6 @@ __all__ = [
     "bce_loss",
     "evaluate",
     "fit",
-    "forward",
     "forward_batch",
     "ingest",
     "load_checkpoint",

@@ -7,7 +7,7 @@ to that tape whenever a gradient-enabled tensor participates, and
 ``backward(root)`` replays the tape in reverse, accumulating
 d(root)/d(leaf) into every gradient-enabled leaf with ``+=``.
 
-Adjoints of intermediate nodes are reset at the start of each backward
+Adjoints of intermediate nodes are allocated afresh by each backward
 pass while leaf gradients are left to accumulate, so running backward on
 two roots of the same tape sums their contributions (gradient linearity).
 
@@ -114,10 +114,7 @@ def backward(root: Tensor) -> None:
     if root.value.size != 1:
         raise ValueError(f"backward root must be a scalar, got shape {root.shape}")
     for out, _ in tape.records:
-        if out.grad is None:
-            out.grad = np.zeros_like(out.value)
-        else:
-            out.grad.fill(0.0)
+        out.grad = np.zeros_like(out.value)
     root.grad.fill(1.0)
     for out, step in reversed(tape.records):
         step(out.grad)

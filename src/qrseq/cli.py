@@ -174,9 +174,8 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _run_training(data_path: str, raw_config: dict[str, str], out_dir: Path) -> dict:
+def _run_training(data_path: str, run_cfg: RunConfig, out_dir: Path) -> dict:
     """Shared train pipeline; returns the test-report dict it wrote."""
-    run_cfg = resolve_run_config(raw_config, None)
     log = InteractionLog.load(_require_file(data_path, "processed dataset"))
     model_cfg = run_cfg.model_config(log.item_count, log.user_count)
     train_cfg = run_cfg.train_config()
@@ -236,7 +235,7 @@ def cmd_train(args) -> int:
     run_cfg.validate()  # fail fast, before touching data
     _require_file(args.data, "processed dataset")
     out_dir = _prepare_out_dir(args.out, args.force)
-    report = _run_training(args.data, run_cfg.raw, out_dir)
+    report = _run_training(args.data, run_cfg, out_dir)
     ndcg_key = next(k for k in report if k.startswith("ndcg_at_"))
     print(f"best epoch {report['best_epoch']}: test {ndcg_key} {report[ndcg_key]:.4f}")
     print(f"wrote {out_dir}")
@@ -251,10 +250,8 @@ def cmd_evaluate(args) -> int:
             raise ConfigError("--seed is required when evaluating the poprec baseline")
         scorer = poprec_baseline(log)
         seed = args.seed
-        seq_len = args.seq_len
+        seq_len = ModelConfig.seq_len  # PopRec ignores contexts
     else:
-        if not args.checkpoint:
-            raise ConfigError("either --checkpoint or --baseline poprec is required")
         store, extra = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
         cfg = store.config
         if cfg.num_items != log.item_count or cfg.num_users != log.user_count:
@@ -270,8 +267,8 @@ def cmd_evaluate(args) -> int:
     # fall back to the settings the checkpoint was validated with
     num_negatives = args.num_negatives
     if num_negatives is None:
-        num_negatives = extra.get("eval_num_negatives", 100)
-    k = args.k if args.k is not None else extra.get("eval_k", 10)
+        num_negatives = extra.get("eval_num_negatives", EvalConfig.num_negatives)
+    k = args.k if args.k is not None else extra.get("eval_k", EvalConfig.k)
     splits = make_splits(log, seq_len)
     eval_cfg = EvalConfig(seed=seed, num_negatives=num_negatives, k=k)
     report = evaluate(scorer, args.split, log, splits, eval_cfg)
@@ -316,9 +313,9 @@ def _slug(label: str) -> str:
     return "".join(c.lower() if c.isalnum() else "_" for c in label).strip("_")
 
 
-def _ablate_worker(job: tuple[str, dict[str, str], str]) -> tuple[str, float]:
-    data_path, raw_config, out_dir = job
-    report = _run_training(data_path, raw_config, Path(out_dir))
+def _ablate_worker(job: tuple[str, RunConfig, str]) -> tuple[str, float]:
+    data_path, run_cfg, out_dir = job
+    report = _run_training(data_path, run_cfg, Path(out_dir))
     ndcg_key = next(k for k in report if k.startswith("ndcg_at_"))
     return out_dir, report[ndcg_key]
 
@@ -329,8 +326,8 @@ def cmd_ablate(args) -> int:
     base_cfg.validate()
     _require_file(args.data, "processed dataset")
     out_dir = _prepare_out_dir(args.out, args.force)
-    seq_len = base_cfg.model_kwargs.get("seq_len", 5)
-    eval_k = base_cfg.eval_kwargs.get("eval_k", 10)
+    seq_len = base_cfg.model_kwargs.get("seq_len", ModelConfig.seq_len)
+    eval_k = base_cfg.eval_config().k
     variants = _study_variants(args.study, seq_len)
 
     jobs = []
@@ -340,7 +337,7 @@ def cmd_ablate(args) -> int:
         raw.update(overrides)
         variant_dir = out_dir / "variants" / _slug(label)
         variant_dir.mkdir(parents=True, exist_ok=True)
-        jobs.append((args.data, raw, str(variant_dir)))
+        jobs.append((args.data, resolve_run_config(raw, None), str(variant_dir)))
         labels.append(label)
 
     workers = int(os.environ.get("QRSEQ_THREADS", "1"))
@@ -394,15 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint or the poprec baseline")
-    p.add_argument("--checkpoint")
-    p.add_argument("--baseline", choices=("poprec",))
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--checkpoint")
+    source.add_argument("--baseline", choices=("poprec",))
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("validation", "test"), default="test")
     p.add_argument("--seed", type=int, help="evaluation seed (defaults to the checkpoint's)")
     p.add_argument("--num-negatives", type=int,
                    help="sampled negatives per user (defaults to the checkpoint's, else 100)")
     p.add_argument("--k", type=int, help="metric cutoff (defaults to the checkpoint's, else 10)")
-    p.add_argument("--seq-len", type=int, default=5, help="context length for --baseline runs")
     p.add_argument("--out", help="also write the report JSON here")
     p.set_defaults(func=cmd_evaluate)
 

@@ -267,30 +267,6 @@ class SplitDataset:
             return self.test_users, self.test_contexts, self.test_targets
         raise ValueError(f"unknown split {split!r}; expected 'validation' or 'test'")
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": DATASET_VERSION,
-            "seq_len": self.seq_len,
-            "train": {
-                "users": self.train_users.tolist(),
-                "contexts": self.train_contexts.tolist(),
-                "targets": self.train_targets.tolist(),
-            },
-            "validation": {
-                "users": self.val_users.tolist(),
-                "contexts": self.val_contexts.tolist(),
-                "targets": self.val_targets.tolist(),
-            },
-            "test": {
-                "users": self.test_users.tolist(),
-                "contexts": self.test_contexts.tolist(),
-                "targets": self.test_targets.tolist(),
-            },
-        }
-
-    def serialize(self) -> bytes:
-        return (json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n").encode()
-
 
 def _window(seq: list[int], position: int, seq_len: int) -> list[int]:
     ctx = seq[max(0, position - seq_len):position]

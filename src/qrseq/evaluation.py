@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -78,14 +77,6 @@ def target_ranks(scores) -> np.ndarray:
     """
     s = np.asarray(scores, dtype=np.float64)
     return 1 + (~(s[:, 1:] < s[:, :1])).sum(axis=1)
-
-
-def rank_target(scores: Mapping[int, float], target_id: int) -> int:
-    """1-based rank of the target among scored candidates (see `target_ranks`)."""
-    if target_id not in scores:
-        raise ValueError(f"target {target_id} is not among the scored candidates")
-    others = [s for cand, s in scores.items() if cand != target_id]
-    return int(target_ranks([[scores[target_id], *others]])[0])
 
 
 def user_metrics(rank: int, k: int) -> tuple[float, float, float]:

@@ -16,7 +16,7 @@ columns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -81,26 +81,6 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not self.scales and not self.use_user_profile:
             raise ConfigError("empty scales require use_user_profile=true")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_items": self.num_items,
-            "num_users": self.num_users,
-            "latent_dim": self.latent_dim,
-            "seq_len": self.seq_len,
-            "scales": list(self.scales),
-            "num_layers": self.num_layers,
-            "use_output_gate": self.use_output_gate,
-            "use_user_profile": self.use_user_profile,
-            "aggregation": self.aggregation,
-            "dropout": self.dropout,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["scales"] = tuple(d["scales"])
-        return cls(**d)
 
 
 class ParameterStore:
@@ -429,15 +409,6 @@ def forward_batch(store: ParameterStore, item_ids, user_ids, candidate_ids,
     return scores, trace
 
 
-def forward(item_ids, user_id, candidate_ids, store: ParameterStore,
-            mode: str = "eval", rng: np.random.Generator | None = None
-            ) -> tuple[Tensor, ForwardTrace]:
-    """Single-sequence forward; returns a (1, C) score tensor and the trace."""
-    ids = np.asarray(item_ids, dtype=np.intp).reshape(1, -1)
-    cands = np.asarray(candidate_ids, dtype=np.intp).reshape(1, -1)
-    return forward_batch(store, ids, np.asarray([user_id]), cands, mode=mode, rng=rng)
-
-
 class ModelScorer:
     """Read-only eval-mode scoring interface used by the evaluation loop."""
 
@@ -464,7 +435,7 @@ def save_checkpoint(path, store: ParameterStore, extra: dict | None = None) -> N
     """Write config + every parameter array; values round-trip bit-exactly."""
     meta = {
         "format_version": CHECKPOINT_VERSION,
-        "config": store.config.to_dict(),
+        "config": asdict(store.config),
         "extra": extra or {},
     }
     arrays = {name: p.value for name, p in store.named_parameters().items()}
@@ -482,7 +453,7 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
                 f"{path}: checkpoint format version {meta.get('format_version')} "
                 f"not supported (expected {CHECKPOINT_VERSION})"
             )
-        config = ModelConfig.from_dict(meta["config"])
+        config = ModelConfig(**meta["config"])
         store = ParameterStore(config)
         expected = set(store.named_parameters())
         found = set(bundle.files) - {"__meta__"}

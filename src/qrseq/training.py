@@ -22,6 +22,10 @@ from .errors import ConfigError
 from .evaluation import EvalConfig, MetricsReport, evaluate
 from .model import ModelConfig, ModelScorer, ParameterStore, forward_batch
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -56,11 +60,7 @@ class TrainConfig:
 class AdamState:
     """First/second moment buffers mirroring every parameter, plus the step count."""
 
-    def __init__(self, store: ParameterStore, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, store: ParameterStore):
         self.step_count = 0
         self.m = {name: np.zeros_like(p.value) for name, p in store.named_parameters().items()}
         self.v = {name: np.zeros_like(p.value) for name, p in store.named_parameters().items()}
@@ -88,17 +88,17 @@ def adam_step(store: ParameterStore, state: AdamState, lr: float, l2: float = 0.
     store.clear_padding_grads()
     state.step_count += 1
     t = state.step_count
-    correct1 = 1.0 - state.beta1 ** t
-    correct2 = 1.0 - state.beta2 ** t
+    correct1 = 1.0 - ADAM_BETA1 ** t
+    correct2 = 1.0 - ADAM_BETA2 ** t
     for name, p in store.named_parameters().items():
         g = p.grad
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        update = (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
         if l2:
             update = update + l2 * p.value
         p.value -= lr * update

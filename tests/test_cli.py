@@ -175,6 +175,15 @@ def test_poprec_baseline_needs_no_checkpoint(small_dataset, capsys):
     assert report["users"] == 30
 
 
+@pytest.mark.parametrize("source", [
+    ["--checkpoint", "model.npz", "--baseline", "poprec"],
+    [],
+], ids=["both", "neither"])
+def test_evaluate_needs_exactly_one_of_checkpoint_or_baseline(small_dataset, source, capsys):
+    assert run(["evaluate", *source, "--data", small_dataset, "--seed", "4"]) == 2
+    assert "--checkpoint" in capsys.readouterr().err
+
+
 def test_evaluate_writes_report_file(trained, small_dataset, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["evaluate", "--checkpoint", trained / "checkpoint.npz",

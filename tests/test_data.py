@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from qrseq import rng as rng_streams
 from qrseq.data import (
     InteractionLog,
     RawInteraction,
+    SplitDataset,
     ingest,
     make_splits,
     preprocess,
@@ -262,11 +264,12 @@ def test_validation_context_excludes_held_out_positions():
     assert 9 in splits.test_contexts[0]  # validation target precedes the test item
 
 
-def test_split_serialization_is_deterministic():
+def test_splits_are_deterministic():
     log = letters_log()
-    a = make_splits(log, seq_len=5).serialize()
-    b = make_splits(log, seq_len=5).serialize()
-    assert a == b
+    a = make_splits(log, seq_len=5)
+    b = make_splits(log, seq_len=5)
+    for f in fields(SplitDataset):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 # -- negative sampling -------------------------------------------------------------

@@ -12,7 +12,6 @@ from qrseq.evaluation import (
     EvalConfig,
     evaluate,
     poprec_baseline,
-    rank_target,
     target_ranks,
     user_metrics,
 )
@@ -51,26 +50,19 @@ class NaNScorer:
         return np.full(np.asarray(candidate_ids).shape, np.nan)
 
 
-# -- rank_target -------------------------------------------------------------
+# -- target_ranks ------------------------------------------------------------
 
 
 def test_strictly_highest_target_ranks_first():
-    assert rank_target({1: 9.0, 2: 3.0, 3: 1.0}, 1) == 1
+    assert target_ranks([[9.0, 3.0, 1.0]]).tolist() == [1]
 
 
 def test_all_ties_rank_last():
-    scores = {i: 0.5 for i in range(1, 102)}
-    assert rank_target(scores, 50) == 101
+    assert target_ranks(np.full((1, 101), 0.5)).tolist() == [101]
 
 
 def test_rank_counts_greater_plus_ties():
-    scores = {10: 0.5, 11: 0.9, 12: 0.5, 13: 0.1}
-    assert rank_target(scores, 10) == 3
-
-
-def test_rank_requires_target_among_candidates():
-    with pytest.raises(ValueError, match="target"):
-        rank_target({1: 0.0}, 2)
+    assert target_ranks([[0.5, 0.9, 0.5, 0.1]]).tolist() == [3]
 
 
 def test_rank_matches_sort_oracle_on_random_scores():
@@ -80,12 +72,12 @@ def test_rank_matches_sort_oracle_on_random_scores():
         cands = np.arange(1, n + 1)
         scores = rng.choice([0.1, 0.5, 0.9], size=n)  # force plenty of ties
         target = int(rng.integers(1, n + 1))
-        mapping = dict(zip(cands.tolist(), scores.tolist()))
-        assert rank_target(mapping, target) == oracle_rank(cands, scores, target)
+        row = np.r_[scores[target - 1], np.delete(scores, target - 1)]
+        assert target_ranks([row])[0] == oracle_rank(cands, scores, target)
 
 
 def test_nan_target_ranks_last():
-    assert rank_target({1: float("nan"), 2: 0.0, 3: 1.0}, 1) == 3
+    assert target_ranks([[float("nan"), 0.0, 1.0]]).tolist() == [3]
 
 
 def test_nan_negative_counts_against_target():

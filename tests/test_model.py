@@ -14,7 +14,6 @@ from qrseq.model import (
     conv_gates,
     dynamic_average_pool,
     embed_sequence,
-    forward,
     forward_batch,
     load_checkpoint,
     output_gate_pool,
@@ -300,39 +299,40 @@ def test_unknown_user_raises_index_error():
 def test_eval_forward_is_deterministic():
     store = small_store(dropout=0.5)
     ids = [1, 2, 3, 4]
-    first, _ = forward(ids, 2, [5, 6, 7], store)
-    second, _ = forward(ids, 2, [5, 6, 7], store)
+    first, _ = forward_batch(store, [ids], [2], [[5, 6, 7]])
+    second, _ = forward_batch(store, [ids], [2], [[5, 6, 7]])
     assert first.value.tobytes() == second.value.tobytes()
 
 
 def test_swapping_items_changes_some_score():
     store = small_store(seed=9)
-    base, _ = forward([1, 2, 3, 4], 1, [5, 6], store)
-    swapped, _ = forward([2, 1, 3, 4], 1, [5, 6], store)
+    base, _ = forward_batch(store, [[1, 2, 3, 4]], [1], [[5, 6]])
+    swapped, _ = forward_batch(store, [[2, 1, 3, 4]], [1], [[5, 6]])
     assert not np.array_equal(base.value, swapped.value)
 
 
 def test_single_scale_variant_runs():
     store = small_store(scales=(1,), num_layers=1)
-    scores, trace = forward([1, 2, 3, 4], 1, [5, 6], store)
+    scores, trace = forward_batch(store, [[1, 2, 3, 4]], [1], [[5, 6]])
     assert scores.value.shape == (1, 2)
     assert list(trace.scales) == [1]
 
 
 def test_profile_only_variant_scores_ignore_context():
     store = small_store(scales=())
-    a, _ = forward([1, 2, 3, 4], 1, [5, 6], store)
-    b, _ = forward([4, 3, 2, 1], 1, [5, 6], store)
+    a, _ = forward_batch(store, [[1, 2, 3, 4]], [1], [[5, 6]])
+    b, _ = forward_batch(store, [[4, 3, 2, 1]], [1], [[5, 6]])
     assert np.array_equal(a.value, b.value)
 
 
 def test_train_mode_needs_rng_and_uses_dropout():
     store = small_store(dropout=0.5)
+    ids = [[1, 2, 3, 4]]
     with pytest.raises(ValueError, match="rng"):
-        forward([1, 2, 3, 4], 1, [5], store, mode="train")
-    a, _ = forward([1, 2, 3, 4], 1, [5], store, mode="train", rng=rng_streams.stream(0, "d"))
-    b, _ = forward([1, 2, 3, 4], 1, [5], store, mode="train", rng=rng_streams.stream(0, "d"))
-    c, _ = forward([1, 2, 3, 4], 1, [5], store, mode="train", rng=rng_streams.stream(1, "d"))
+        forward_batch(store, ids, [1], [[5]], mode="train")
+    a, _ = forward_batch(store, ids, [1], [[5]], mode="train", rng=rng_streams.stream(0, "d"))
+    b, _ = forward_batch(store, ids, [1], [[5]], mode="train", rng=rng_streams.stream(0, "d"))
+    c, _ = forward_batch(store, ids, [1], [[5]], mode="train", rng=rng_streams.stream(1, "d"))
     assert a.value.tobytes() == b.value.tobytes()
     assert a.value.tobytes() != c.value.tobytes()
 
@@ -340,12 +340,12 @@ def test_train_mode_needs_rng_and_uses_dropout():
 def test_invalid_mode_rejected():
     store = small_store()
     with pytest.raises(ValueError, match="mode"):
-        forward([1, 2, 3, 4], 1, [5], store, mode="predict")
+        forward_batch(store, [[1, 2, 3, 4]], [1], [[5]], mode="predict")
 
 
 def test_trace_gates_strictly_inside_unit_interval():
     store = small_store(seed=3, use_output_gate=True, num_layers=2)
-    _, trace = forward([0, 1, 2, 3], 1, [5], store)
+    _, trace = forward_batch(store, [[0, 1, 2, 3]], [1], [[5]])
     for stale in trace.scales.values():
         for layer in stale.forget_gates + (stale.output_gates or []):
             for g in layer:
@@ -387,8 +387,8 @@ def test_forward_causality_across_scales_and_layers():
 def test_stacked_layers_change_the_output():
     one = small_store(seed=8, num_layers=1)
     two = small_store(seed=8, num_layers=2)
-    a, _ = forward([1, 2, 3, 4], 1, [5], one)
-    b, _ = forward([1, 2, 3, 4], 1, [5], two)
+    a, _ = forward_batch(one, [[1, 2, 3, 4]], [1], [[5]])
+    b, _ = forward_batch(two, [[1, 2, 3, 4]], [1], [[5]])
     assert not np.array_equal(a.value, b.value)
 
 
@@ -423,6 +423,22 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert loaded.config == store.config
     for name, p in store.named_parameters().items():
         assert loaded.named_parameters()[name].value.tobytes() == p.value.tobytes()
+
+
+def test_checkpoint_metadata_format_is_pinned(tmp_path):
+    cfg = small_config(latent_dim=2, scales=(3, 1), num_layers=2, use_output_gate=True,
+                       use_user_profile=False, aggregation="L+M", dropout=0.25)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, ParameterStore(cfg), extra={"seed": 7})
+    with np.load(path) as bundle:
+        meta = str(bundle["__meta__"])
+    assert meta == (
+        '{"config": {"aggregation": "L+M", "dropout": 0.25, "latent_dim": 2, "num_items": 12, '
+        '"num_layers": 2, "num_users": 4, "scales": [1, 3], "seq_len": 4, '
+        '"use_output_gate": true, "use_user_profile": false}, '
+        '"extra": {"seed": 7}, "format_version": 1}'
+    )
+    assert load_checkpoint(path)[0].config == cfg
 
 
 def test_checkpoint_rejects_foreign_npz(tmp_path):
