@@ -7,9 +7,17 @@ to that tape whenever a gradient-enabled tensor participates, and
 ``backward(root)`` replays the tape in reverse, accumulating
 d(root)/d(leaf) into every gradient-enabled leaf with ``+=``.
 
-Adjoints of intermediate nodes are allocated afresh by each backward
-pass while leaf gradients are left to accumulate, so running backward on
-two roots of the same tape sums their contributions (gradient linearity).
+Adjoints of intermediate nodes are created lazily: an intermediate
+tensor's ``grad`` is ``None`` until its first contribution, which it takes
+as its adjoint, and later contributions add into that array. Each adjoint
+array is held by one tensor only (an op that passes its upstream adjoint
+to two inputs copies it for the second; disjoint views are taken as they
+are), and ``backward`` drops each adjoint once its record's step has run,
+so no adjoint is zero-filled and none outlives its use. Records whose
+adjoint is never created do not reach the root and are skipped. Leaf
+gradients keep their own buffers and accumulate with ``+=``, so running
+backward on two roots of the same tape sums their contributions (gradient
+linearity).
 
 Everything is float64: the models are small and gradient checking at
 tight tolerances is unreliable in float32. One recording episode is
@@ -114,10 +122,30 @@ def backward(root: Tensor) -> None:
     if root.value.size != 1:
         raise ValueError(f"backward root must be a scalar, got shape {root.shape}")
     for out, _ in tape.records:
-        out.grad = np.zeros_like(out.value)
-    root.grad.fill(1.0)
+        out.grad = None
+    root.grad = np.ones_like(root.value)
     for out, step in reversed(tape.records):
-        step(out.grad)
+        if out.grad is not None:
+            step(out.grad)
+            out.grad = None
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add a contribution into `t`'s adjoint; the first one becomes the adjoint.
+
+    A taken `g` must not be held by any other tensor.
+    """
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
+
+
+def _adjoint(t: Tensor) -> np.ndarray:
+    """`t`'s adjoint for a partial (scatter) update, zero-filled on first use."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.value)
+    return t.grad
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -151,9 +179,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            a.grad += g @ bv.T
+            _accumulate(a, g @ bv.T)
         if b.requires_grad:
-            b.grad += av.T @ g
+            _accumulate(b, av.T @ g)
 
     return _track(out, (a, b), step)
 
@@ -164,9 +192,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g)
         if b.requires_grad:
-            b.grad += g
+            _accumulate(b, g.copy() if a.grad is g else g)  # one holder per adjoint
 
     return _track(out, (a, b), step)
 
@@ -178,9 +206,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            a.grad += g * bv
+            _accumulate(a, g * bv)
         if b.requires_grad:
-            b.grad += g * av
+            _accumulate(b, g * av)
 
     return _track(out, (a, b), step)
 
@@ -191,7 +219,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            a.grad += g * c
+            _accumulate(a, g * c)
 
     return _track(out, (a,), step)
 
@@ -206,7 +234,10 @@ def one_minus(a: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            a.grad -= g
+            if a.grad is None:
+                a.grad = -g
+            else:
+                a.grad -= g
 
     return _track(out, (a,), step)
 
@@ -220,9 +251,9 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            a.grad += g[:split]
+            _accumulate(a, g[:split])
         if b.requires_grad:
-            b.grad += g[split:]
+            _accumulate(b, g[split:])
 
     return _track(out, (a, b), step)
 
@@ -236,9 +267,9 @@ def add_col(a: Tensor, col: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g)
         if col.requires_grad:
-            col.grad += g.sum(axis=1, keepdims=True)
+            _accumulate(col, g.sum(axis=1, keepdims=True))
 
     return _track(out, (a, col), step)
 
@@ -252,7 +283,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            a.grad[:, start:stop] += g
+            _adjoint(a)[:, start:stop] += g
 
     return _track(out, (a,), step)
 
@@ -263,25 +294,27 @@ def transpose(a: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            a.grad += g.T
+            _accumulate(a, g.T)
 
     return _track(out, (a,), step)
+
+
+def _logistic(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) from e = exp(-|x|), which never overflows."""
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     """Numerically stable logistic function, clamped strictly inside (0, 1)."""
     x = a.value
-    out_val = np.empty_like(x)
-    pos = x >= 0
-    out_val[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_val[~pos] = ex / (1.0 + ex)
+    out_val = _logistic(x, np.exp(-np.abs(x)))
     np.clip(out_val, _SIGMOID_LO, _SIGMOID_HI, out=out_val)
     out = Tensor(out_val)
 
     def step(g):
         if a.requires_grad:
-            a.grad += g * out_val * (1.0 - out_val)
+            _accumulate(a, g * out_val * (1.0 - out_val))
 
     return _track(out, (a,), step)
 
@@ -289,16 +322,13 @@ def sigmoid(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)) in overflow-free form; derivative is sigmoid(x)."""
     x = a.value
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
-    sig = np.empty_like(x)
-    pos = x >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    sig[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = Tensor(np.maximum(x, 0.0) + np.log1p(e))
+    sig = _logistic(x, e)
 
     def step(g):
         if a.requires_grad:
-            a.grad += g * sig
+            _accumulate(a, g * sig)
 
     return _track(out, (a,), step)
 
@@ -310,7 +340,7 @@ def sum_all(a: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            a.grad += np.full(shape, float(g))
+            _accumulate(a, np.full(shape, float(g)))
 
     return _track(out, (a,), step)
 
@@ -333,7 +363,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            np.add.at(a.grad, idx, g)
+            np.add.at(_adjoint(a), idx, g)
 
     return _track(out, (a,), step)
 
@@ -348,7 +378,7 @@ def gather(a: Tensor, indices) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            np.add.at(a.grad, idx.ravel(), g.ravel())
+            np.add.at(_adjoint(a), idx.ravel(), g.ravel())
 
     return _track(out, (a,), step)
 
@@ -377,8 +407,8 @@ def rows_dot_cols(w: Tensor, indices, z: Tensor) -> Tensor:
     def step(g):
         if w.requires_grad:
             contrib = g[:, :, None] * zv.T[:, None, :]
-            np.add.at(w.grad, idx.ravel(), contrib.reshape(-1, dim))
+            np.add.at(_adjoint(w), idx.ravel(), contrib.reshape(-1, dim))
         if z.requires_grad:
-            z.grad += np.einsum("bc,bcd->db", g, rows)
+            _accumulate(z, np.einsum("bc,bcd->db", g, rows))
 
     return _track(out, (w, z), step)

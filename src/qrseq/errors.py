@@ -27,3 +27,7 @@ class SamplingError(QrseqError):
 
 class CompatibilityError(QrseqError):
     """A checkpoint and a dataset (or file format version) do not match."""
+
+
+class TrainingDivergedError(QrseqError):
+    """A training step produced a non-finite loss or gradient."""

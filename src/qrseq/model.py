@@ -16,7 +16,7 @@ columns.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -452,6 +452,13 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
             raise CompatibilityError(
                 f"{path}: checkpoint format version {meta.get('format_version')} "
                 f"not supported (expected {CHECKPOINT_VERSION})"
+            )
+        stored = set(meta["config"])
+        known = {f.name for f in fields(ModelConfig)}
+        if stored != known:
+            raise CompatibilityError(
+                f"{path}: checkpoint config keys do not match this version; "
+                f"unknown {sorted(stored - known)}, missing {sorted(known - stored)}"
             )
         config = ModelConfig(**meta["config"])
         store = ParameterStore(config)

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import rng as rng_streams
 from .autodiff import Tensor
 from .data import InteractionLog, SplitDataset, sample_negatives
-from .errors import ConfigError
+from .errors import ConfigError, TrainingDivergedError
 from .evaluation import EvalConfig, MetricsReport, evaluate
 from .model import ModelConfig, ModelScorer, ParameterStore, forward_batch
 
@@ -104,9 +104,24 @@ def adam_step(store: ParameterStore, state: AdamState, lr: float, l2: float = 0.
         p.value -= lr * update
 
 
+def _check_finite(loss: float, store: ParameterStore, epoch: int, batch: int) -> None:
+    """Raise TrainingDivergedError unless the loss and every gradient are finite."""
+    bad = next((name for name, p in store.named_parameters().items()
+                if not np.isfinite(p.grad).all()), None)
+    if bad is not None or not np.isfinite(loss):
+        raise TrainingDivergedError(
+            f"training diverged at epoch {epoch}, batch {batch}: loss {loss!r}, "
+            f"first non-finite gradient: {bad or 'none'}"
+        )
+
+
 def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore,
                 state: AdamState, config: TrainConfig, epoch: int) -> tuple[float, int]:
-    """One pass over shuffled training windows; returns (mean loss, examples)."""
+    """One pass over shuffled training windows; returns (mean loss, examples).
+
+    Raises TrainingDivergedError, before the optimizer step, on the first
+    batch whose loss or gradients are not finite.
+    """
     n = len(splits.train_targets)
     if n == 0:
         raise ValueError("training split is empty")
@@ -136,8 +151,10 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
                 ad.slice_cols(scores, 0, 1), ad.slice_cols(scores, 1, 1 + k)
             )
         ad.backward(loss)
+        batch_loss = loss.item()
+        _check_finite(batch_loss, store, epoch, lo // config.batch_size + 1)
         adam_step(store, state, config.lr, config.l2)
-        total_loss += loss.item()
+        total_loss += batch_loss
 
     return total_loss / n, n
 
@@ -172,7 +189,8 @@ def fit(log: InteractionLog, splits: SplitDataset, model_config: ModelConfig,
     paired with that same epoch's test metrics.
 
     `evaluate_fn(store, split)` may be injected for tests; the default runs
-    the sampled-ranking evaluation on this run's data.
+    the sampled-ranking evaluation on this run's data. A diverged step
+    raises TrainingDivergedError out of `fit`, so no result includes it.
     """
     if evaluate_fn is None:
         def evaluate_fn(store, split):

@@ -1,6 +1,8 @@
 """Shared test utilities: independent oracles and synthetic datasets."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from qrseq import autodiff as ad
@@ -161,6 +163,17 @@ def write_interactions_csv(path, sequences: list[list[str]] | None = None,
             for t, item in enumerate(seq):
                 lines.append(f"u{u},{item},5,{t}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def rewrite_config_keys(path, drop=(), add=None) -> None:
+    """Rewrite a checkpoint's stored model config with keys dropped or added."""
+    with np.load(path) as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    meta = json.loads(str(arrays.pop("__meta__")))
+    for key in drop:
+        del meta["config"][key]
+    meta["config"].update(add or {})
+    np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
 def log_to_csv(path, log: InteractionLog) -> None:

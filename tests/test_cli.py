@@ -7,7 +7,7 @@ import json
 import pytest
 
 from qrseq.cli import main
-from helpers import write_interactions_csv
+from helpers import rewrite_config_keys, write_interactions_csv
 
 
 def run(args):
@@ -191,6 +191,25 @@ def test_evaluate_writes_report_file(trained, small_dataset, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert out.read_text() == printed
     assert json.loads(printed)["split"] == "test"
+
+
+def test_train_divergence_exits_1_without_a_checkpoint(small_dataset, base_config, tmp_path,
+                                                       capsys):
+    out = tmp_path / "run"
+    code = run(["train", "--data", small_dataset, "--config", base_config,
+                "--set", "lr=1e300", "--out", out])
+    assert code == 1
+    assert "error: training diverged at epoch 1, batch 2" in capsys.readouterr().err
+    assert not (out / "checkpoint.npz").exists()
+
+
+def test_evaluate_checkpoint_with_unknown_config_key_fails(trained, small_dataset, capsys):
+    path = trained / "checkpoint.npz"
+    rewrite_config_keys(path, add={"window": 3})
+    code = run(["evaluate", "--checkpoint", path, "--data", small_dataset])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown ['window']" in err
 
 
 def test_evaluate_incompatible_dataset_fails(trained, tmp_path, capsys):

@@ -20,7 +20,7 @@ from qrseq.model import (
     predict_scores,
     save_checkpoint,
 )
-from helpers import model_loss_case, numeric_gradient, relative_errors
+from helpers import model_loss_case, numeric_gradient, relative_errors, rewrite_config_keys
 
 SIGMOID_1 = 1.0 / (1.0 + np.exp(-1.0))
 SIGMOID_2 = 1.0 / (1.0 + np.exp(-2.0))
@@ -439,6 +439,19 @@ def test_checkpoint_metadata_format_is_pinned(tmp_path):
         '"extra": {"seed": 7}, "format_version": 1}'
     )
     assert load_checkpoint(path)[0].config == cfg
+
+
+@pytest.mark.parametrize("drop, add, named", [
+    ((), {"window": 3}, "unknown ['window']"),
+    (("dropout", "aggregation"), None, "missing ['aggregation', 'dropout']"),
+], ids=["unknown", "missing"])
+def test_checkpoint_config_keys_must_match(tmp_path, drop, add, named):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, small_store(), extra={"seed": 1})
+    rewrite_config_keys(path, drop=drop, add=add)
+    with pytest.raises(CompatibilityError) as err:
+        load_checkpoint(path)
+    assert named in str(err.value)
 
 
 def test_checkpoint_rejects_foreign_npz(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from qrseq import autodiff as ad
 from qrseq import rng as rng_streams
 from qrseq.data import make_splits
-from qrseq.errors import ConfigError
+from qrseq.errors import ConfigError, TrainingDivergedError
 from qrseq.evaluation import EvalConfig
 from qrseq.model import ModelConfig, ParameterStore
 from qrseq.training import AdamState, TrainConfig, adam_step, bce_loss, fit, train_epoch
@@ -173,6 +173,41 @@ def test_training_never_touches_padding_embedding():
     for epoch in (1, 2):
         train_epoch(log, splits, store, state, cfg, epoch=epoch)
     assert np.array_equal(store.item_embeddings.value[0], np.zeros(model_cfg.latent_dim))
+
+
+def test_non_finite_step_stops_training_before_the_update():
+    log, model_cfg, splits = tiny_setup()
+    store = ParameterStore(model_cfg, rng_streams.stream(5, "init"))
+    state = AdamState(store)
+    store.forget_filters(2, 0)[1].value[0, 0] = np.nan
+    before = {n: p.value.copy() for n, p in store.named_parameters().items()}
+    cfg = TrainConfig(seed=5, lr=0.01, batch_size=16)
+    with pytest.raises(TrainingDivergedError) as err:
+        train_epoch(log, splits, store, state, cfg, epoch=3)
+    first_bad = next(n for n, p in store.named_parameters().items()
+                     if not np.isfinite(p.grad).all())
+    message = str(err.value)
+    assert "epoch 3, batch 1:" in message
+    assert message.endswith(f"first non-finite gradient: {first_bad}")
+    assert state.step_count == 0
+    for name, p in store.named_parameters().items():
+        assert np.array_equal(p.value, before[name], equal_nan=True)
+
+
+def test_fit_raises_on_divergence_instead_of_returning_a_checkpoint():
+    # an absurd learning rate overflows the scores from the second step on
+    log, model_cfg, splits = tiny_setup()
+    evaluated = []
+
+    def evaluate_fn(store, split):
+        evaluated.append(split)
+        return fake_report(0.0)
+
+    train_cfg = TrainConfig(seed=6, lr=1e300, batch_size=1024, base_epochs=3)
+    with pytest.raises(TrainingDivergedError, match="epoch 2, batch 1: loss"):
+        fit(log, splits, model_cfg, train_cfg, EvalConfig(),
+            evaluate_fn=evaluate_fn)
+    assert evaluated == ["validation", "test"]
 
 
 def test_single_window_overfits_quickly():
