@@ -17,7 +17,22 @@ so no adjoint is zero-filled and none outlives its use. Records whose
 adjoint is never created do not reach the root and are skipped. Leaf
 gradients keep their own buffers and accumulate with ``+=``, so running
 backward on two roots of the same tape sums their contributions (gradient
-linearity).
+linearity). An op that hands overlapping views of its adjoint to several
+inputs (``shifted_sum``) marks them read-only; a later contribution to
+such an adjoint makes a new array instead of writing through the view.
+
+Besides elementwise and gather ops, three ops work on whole sequences laid
+out as (m, L*B) matrices whose column t*B + b holds timestep t of sequence
+b, so that one record covers every timestep: ``shifted_sum`` adds terms at
+column offsets (the causal convolution's taps), ``gated_scan`` runs the
+fo-pooling recurrence over the column blocks with a reverse-scan backward,
+and ``sum_col_blocks`` sums the blocks (the sum over time).
+
+A tape holds its records and each recorded tensor holds its tape, a
+reference cycle: a caller that keeps no use for the tape after
+``backward`` clears ``tape.records`` so the step's values are freed by
+reference count instead of waiting for the cyclic collector. The training
+loop does so after every step.
 
 Everything is float64: the models are small and gradient checking at
 tight tolerances is unreliable in float32. One recording episode is
@@ -133,19 +148,41 @@ def backward(root: Tensor) -> None:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add a contribution into `t`'s adjoint; the first one becomes the adjoint.
 
-    A taken `g` must not be held by any other tensor.
+    A taken `g` must not be written through by any other tensor: it is
+    either held by `t` alone, a view disjoint from other holders' or a
+    read-only view.
     """
     if t.grad is None:
         t.grad = g
-    else:
+    elif t.grad.flags.writeable:
         t.grad += g
+    else:  # a read-only view other adjoints share
+        t.grad = t.grad + g
 
 
 def _adjoint(t: Tensor) -> np.ndarray:
-    """`t`'s adjoint for a partial (scatter) update, zero-filled on first use."""
+    """`t`'s adjoint for an in-place (scatter) update: zero-filled on first
+    use, copied first when it is a read-only view other adjoints share."""
     if t.grad is None:
         t.grad = np.zeros_like(t.value)
+    elif not t.grad.flags.writeable:
+        t.grad = t.grad.copy()
     return t.grad
+
+
+def _scatter_add(target: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> None:
+    """target[indices[i]] += rows[i] for every i, repeated indices summed.
+
+    One stable sort by index and one `np.add.reduceat` over the runs of
+    equal indices replace `np.add.at`'s per-element loop; each index's rows
+    are summed in their original order, then added to the target once.
+    """
+    if indices.size == 0:
+        return
+    order = np.argsort(indices, kind="stable")
+    ordered = indices[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    target[ordered[starts]] += np.add.reduceat(rows[order], starts, axis=0)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
@@ -234,10 +271,10 @@ def one_minus(a: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = -g
-            else:
+            if a.grad is not None and a.grad.flags.writeable:
                 a.grad -= g
+            else:
+                _accumulate(a, -g)
 
     return _track(out, (a,), step)
 
@@ -300,9 +337,12 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def _logistic(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) from e = exp(-|x|), which never overflows."""
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    """1 / (1 + exp(-x)) from e = exp(-|x|), which never overflows.
+
+    exp(min(x, 0)) is 1 for x >= 0 and e for x < 0, so this is
+    where(x >= 0, 1 / (1 + e), e / (1 + e)) to the bit, without the select.
+    """
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -363,7 +403,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            np.add.at(_adjoint(a), idx, g)
+            _scatter_add(_adjoint(a), idx, g)
 
     return _track(out, (a,), step)
 
@@ -378,7 +418,7 @@ def gather(a: Tensor, indices) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            np.add.at(_adjoint(a), idx.ravel(), g.ravel())
+            _scatter_add(_adjoint(a), idx.ravel(), g.ravel())
 
     return _track(out, (a,), step)
 
@@ -407,8 +447,111 @@ def rows_dot_cols(w: Tensor, indices, z: Tensor) -> Tensor:
     def step(g):
         if w.requires_grad:
             contrib = g[:, :, None] * zv.T[:, None, :]
-            np.add.at(_adjoint(w), idx.ravel(), contrib.reshape(-1, dim))
+            _scatter_add(_adjoint(w), idx.ravel(), contrib.reshape(-1, dim))
         if z.requires_grad:
             _accumulate(z, np.einsum("bc,bcd->db", g, rows))
 
     return _track(out, (w, z), step)
+
+
+# ---------------------------------------------------------------------------
+# whole-sequence ops: column t*B + b of an (m, L*B) matrix is timestep t of
+# sequence b, so a timestep is one block of `width` = B columns
+
+
+def _require_blocks(op: str, a: Tensor, width: int) -> int:
+    _require_2d(op, a)
+    if width < 1 or a.shape[1] % width:
+        raise ValueError(f"{op}: {a.shape[1]} columns are not whole blocks of {width}")
+    return a.shape[1] // width
+
+
+def shifted_sum(terms: Sequence[Tensor], offsets: Sequence[int]) -> Tensor:
+    """Sum terms into one (m, n) tensor, term j over columns offsets[j]:n.
+
+    Offsets strictly decrease to 0 and term j is (m, n - offsets[j]). A
+    column is first set by the first term that reaches it and the later
+    ones add in list order, so every column sums its terms in list order.
+    """
+    offsets = [int(o) for o in offsets]
+    if not terms or len(terms) != len(offsets):
+        raise ValueError(f"shifted_sum needs one offset per term, got {len(terms)} terms "
+                         f"and {len(offsets)} offsets")
+    if offsets[-1] != 0 or any(a <= b for a, b in zip(offsets, offsets[1:])):
+        raise ValueError(f"shifted_sum offsets must strictly decrease to 0, got {offsets}")
+    for t in terms:
+        _require_2d("shifted_sum", t)
+    rows, n = terms[-1].shape
+    for t, o in zip(terms, offsets):
+        if t.shape != (rows, n - o):
+            raise ValueError(f"shifted_sum term at offset {o} has shape {t.shape}, "
+                             f"expected {(rows, n - o)}")
+    out_val = np.empty((rows, n))
+    covered = n  # columns from `covered` on are set
+    for t, o in zip(terms, offsets):
+        out_val[:, o:covered] = t.value[:, :covered - o]
+        out_val[:, covered:] += t.value[:, covered - o:]
+        covered = o
+    out = Tensor(out_val)
+
+    def step(g):
+        for t, o in zip(terms, offsets):
+            if t.requires_grad:
+                view = g[:, o:]  # overlaps the other terms' views
+                view.flags.writeable = False
+                _accumulate(t, view)
+
+    return _track(out, terms, step)
+
+
+def gated_scan(f: Tensor, take: Tensor, width: int) -> Tensor:
+    """fo-pooling over column blocks: c_0 = take_0, c_t = f_t*c_{t-1} + take_t.
+
+    Backward is one reverse scan: dc_{t-1} = g_{t-1} + f_t*dc_t, then
+    d take_t = dc_t and d f_t = dc_t*c_{t-1} (zero for t = 0).
+    """
+    _require_same_shape("gated_scan", f, take)
+    _require_blocks("gated_scan", f, width)
+    fv = f.value
+    c = np.empty_like(take.value)
+    c[:, :width] = take.value[:, :width]
+    n = c.shape[1]
+    for lo in range(width, n, width):
+        hi = lo + width
+        cur = c[:, lo:hi]
+        np.multiply(fv[:, lo:hi], c[:, lo - width:lo], out=cur)
+        cur += take.value[:, lo:hi]
+    out = Tensor(c)
+
+    def step(g):
+        dc = np.empty_like(g)  # adjoint of each c_t: g_t plus what c_{t+1} passes back
+        dc[:, n - width:] = g[:, n - width:]
+        for lo in range(n - 2 * width, -1, -width):
+            hi = lo + width
+            cur = dc[:, lo:hi]
+            np.multiply(fv[:, hi:hi + width], dc[:, hi:hi + width], out=cur)
+            cur += g[:, lo:hi]
+        if f.requires_grad:
+            df = np.empty_like(dc)
+            df[:, :width] = 0.0
+            np.multiply(dc[:, width:], c[:, :-width], out=df[:, width:])
+            _accumulate(f, df)
+        if take.requires_grad:
+            _accumulate(take, dc)
+
+    return _track(out, (f, take), step)
+
+
+def sum_col_blocks(a: Tensor, width: int) -> Tensor:
+    """Sum the column blocks of `width` of a 2-d tensor, first block first."""
+    blocks = _require_blocks("sum_col_blocks", a, width)
+    total = a.value[:, :width].copy()
+    for lo in range(width, a.shape[1], width):
+        total += a.value[:, lo:lo + width]
+    out = Tensor(total)
+
+    def step(g):
+        if a.requires_grad:
+            _accumulate(a, np.tile(g, (1, blocks)))
+
+    return _track(out, (a,), step)

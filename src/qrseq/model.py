@@ -8,10 +8,15 @@ sequences are reduced over time (sum / mean / last), combined across
 scales (sum / mean), joined with the user profile vector, and scored
 against candidate items by a per-item linear head.
 
-All functions operate on lists of "columns": one (d, B) tensor per
-timestep, where B is the batch width. The single-sequence entry points
-take a (d, L) matrix, which is just the B=1 case with timesteps as
-columns.
+The network runs on whole sequences at once, as in QRNN fo-pooling: a
+batch of B sequences of length L is one (d, L*B) matrix whose column
+t*B + b holds timestep t of sequence b. A gate's causal convolution is
+one GEMM per tap over every timestep it reaches (tap k reads the columns
+before the last k*B), summed at column offset k*B by `ad.shifted_sum`;
+only the pooling recurrence runs step by step, inside `ad.gated_scan`.
+So a training step records one tape entry per stage, not one per
+timestep. The single-sequence entry points take a (d, L) matrix, the B=1
+case, and return one (d, 1) tensor per timestep.
 """
 from __future__ import annotations
 
@@ -183,6 +188,11 @@ class ParameterStore:
 # building blocks
 
 
+def _embed(store: ParameterStore, item_ids: np.ndarray) -> Tensor:
+    """Embed a (B, L) id batch into one (d, L*B) time-major matrix."""
+    return ad.transpose(ad.take_rows(store.item_embeddings, item_ids.T.ravel()))
+
+
 def embed_sequence(store: ParameterStore, item_ids) -> Tensor:
     """Embed one id sequence into a (d, L) matrix, oldest to newest.
 
@@ -191,66 +201,68 @@ def embed_sequence(store: ParameterStore, item_ids) -> Tensor:
     ids = np.asarray(item_ids, dtype=np.intp)
     if ids.ndim != 1:
         raise ValueError(f"embed_sequence expects a flat id list, got shape {ids.shape}")
-    return ad.transpose(ad.take_rows(store.item_embeddings, ids))
+    return _embed(store, ids[None, :])
 
 
-def _embedding_columns(store: ParameterStore, item_ids: np.ndarray) -> list[Tensor]:
-    """Per-timestep (d, B) columns for a batch of id sequences (B, L)."""
-    return [
-        ad.transpose(ad.take_rows(store.item_embeddings, item_ids[:, t]))
-        for t in range(item_ids.shape[1])
-    ]
+def _blocks(values: np.ndarray, batch: int) -> list[np.ndarray]:
+    """Per-timestep (d, B) views of a (d, L*B) array."""
+    return [values[:, lo:lo + batch] for lo in range(0, values.shape[1], batch)]
 
 
-def _matrix_columns(x: Tensor) -> list[Tensor]:
-    return [ad.slice_cols(x, t, t + 1) for t in range(x.shape[1])]
+def _columns(x: Tensor, batch: int) -> list[Tensor]:
+    """Per-timestep (d, B) tensors of a (d, L*B) tensor."""
+    return [ad.slice_cols(x, lo, lo + batch) for lo in range(0, x.shape[1], batch)]
 
 
-def _conv_gate_columns(columns: Sequence[Tensor], filters: Sequence[Tensor],
-                       bias: Tensor | None) -> list[Tensor]:
+def _stack(columns: Sequence[Tensor]) -> Tensor:
+    """The (d, L*B) tensor of per-timestep (d, B) tensors."""
+    rows = ad.transpose(columns[0])
+    for c in columns[1:]:
+        rows = ad.concat_rows(rows, ad.transpose(c))
+    return ad.transpose(rows)
+
+
+def _shifted_inputs(x: Tensor, batch: int, width: int) -> list[Tensor]:
+    """x and its prefixes without the last k timesteps, k = 1..width-1:
+    entry k holds the inputs a tap k steps back reads."""
+    n = x.shape[1]
+    return [x] + [ad.slice_cols(x, 0, n - k * batch) for k in range(1, width)]
+
+
+def _conv_gate(shifted: Sequence[Tensor], filters: Sequence[Tensor], bias: Tensor | None,
+               batch: int) -> Tensor:
     """Causal width-w convolution + sigmoid; positions before the sequence
-    start contribute nothing (zero left padding)."""
+    start contribute nothing (zero left padding). Filter i is the tap
+    w-1-i steps back; the taps are summed oldest first."""
     width = len(filters)
-    gates = []
-    for t in range(1, len(columns) + 1):
-        pre = None
-        for i in range(1, width + 1):
-            src = t - width + i
-            if src < 1:
-                continue
-            term = ad.matmul(filters[i - 1], columns[src - 1])
-            pre = term if pre is None else ad.add(pre, term)
-        if bias is not None:
-            pre = ad.add_col(pre, bias)
-        gates.append(ad.sigmoid(pre))
-    return gates
+    shifts = range(min(width, len(shifted)) - 1, -1, -1)
+    terms = [ad.matmul(filters[width - 1 - k], shifted[k]) for k in shifts]
+    pre = terms[0] if len(terms) == 1 else ad.shifted_sum(terms, [k * batch for k in shifts])
+    if bias is not None:
+        pre = ad.add_col(pre, bias)
+    return ad.sigmoid(pre)
 
 
 def conv_gates(x: Tensor, filters: Sequence[Tensor], bias: Tensor | None = None) -> list[Tensor]:
     """Gate sequence for a (d, L) input matrix; one (d, 1) gate per timestep."""
     if not filters:
         raise ValueError("conv_gates needs at least one filter matrix")
-    return _conv_gate_columns(_matrix_columns(x), filters, bias)
+    shifted = _shifted_inputs(x, 1, min(len(filters), x.shape[1]))
+    return _columns(_conv_gate(shifted, filters, bias, 1), 1)
 
 
-def _pool_columns(columns: Sequence[Tensor], forget_gates: Sequence[Tensor],
-                  output_gates: Sequence[Tensor] | None = None) -> list[Tensor]:
+def _pool(x: Tensor, forget: Tensor, output: Tensor | None, batch: int) -> Tensor:
     """fo-pooling: c_t = f_t*c_{t-1} + (1-f_t)*x_t with c_0 = 0; the hidden
     state is h_t = o_t*c_t with output gates, else c_t itself."""
-    hidden: list[Tensor] = []
-    cell = None  # initial state is zero, so the first retain term vanishes
-    for t, (x_t, f_t) in enumerate(zip(columns, forget_gates)):
-        take = ad.mul(ad.one_minus(f_t), x_t)
-        cell = take if cell is None else ad.add(ad.mul(f_t, cell), take)
-        hidden.append(cell if output_gates is None else ad.mul(output_gates[t], cell))
-    return hidden
+    cell = ad.gated_scan(forget, ad.mul(ad.one_minus(forget), x), batch)
+    return cell if output is None else ad.mul(output, cell)
 
 
 def dynamic_average_pool(x: Tensor, gates: Sequence[Tensor]) -> list[Tensor]:
     """Forget-gated moving average h_t = f_t*h_{t-1} + (1-f_t)*x_t, h_0 = 0."""
     if len(gates) != x.shape[1]:
         raise ValueError(f"expected {x.shape[1]} gates, got {len(gates)}")
-    return _pool_columns(_matrix_columns(x), gates)
+    return _columns(_pool(x, _stack(gates), None, 1), 1)
 
 
 def output_gate_pool(x: Tensor, forget_gates: Sequence[Tensor],
@@ -261,7 +273,7 @@ def output_gate_pool(x: Tensor, forget_gates: Sequence[Tensor],
             f"expected {x.shape[1]} forget and output gates, "
             f"got {len(forget_gates)} and {len(output_gates)}"
         )
-    return _pool_columns(_matrix_columns(x), forget_gates, output_gates)
+    return _columns(_pool(x, _stack(forget_gates), _stack(output_gates), 1), 1)
 
 
 def _parse_aggregation(strategy: str) -> tuple[str, str]:
@@ -273,31 +285,37 @@ def _parse_aggregation(strategy: str) -> tuple[str, str]:
     return inner, outer
 
 
-def _sum_tensors(tensors: Sequence[Tensor]) -> Tensor:
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = ad.add(total, t)
-    return total
+def _reduce_time(hidden: Tensor, code: str, batch: int) -> Tensor:
+    """Reduce a (d, L*B) hidden sequence over time to (d, B)."""
+    n = hidden.shape[1]
+    if code == "L":  # last hidden state
+        return ad.slice_cols(hidden, n - batch, n)
+    total = ad.sum_col_blocks(hidden, batch)
+    return total if code == "S" else ad.scale(total, 1.0 / (n // batch))
 
 
-def _inner_reduce(hidden: Sequence[Tensor], code: str) -> Tensor:
-    if code == "S":
-        return _sum_tensors(hidden)
-    if code == "M":
-        return ad.scale(_sum_tensors(hidden), 1.0 / len(hidden))
-    return hidden[-1]  # "L": last hidden state
-
-
-def aggregate(hidden_seqs: Sequence[Sequence[Tensor]], strategy: str) -> Tensor:
-    """Reduce within each scale (sum / mean / last) then across scales (sum / mean)."""
+def _aggregate(hidden: Sequence[Tensor], strategy: str, batch: int) -> Tensor:
+    """Reduce each (d, L*B) scale over time, then across scales (sum / mean)."""
     inner, outer = _parse_aggregation(strategy)
-    if not hidden_seqs:
-        raise ValueError("aggregate needs at least one hidden sequence")
-    per_scale = [_inner_reduce(seq, inner) for seq in hidden_seqs]
-    total = _sum_tensors(per_scale)
+    per_scale = [_reduce_time(h, inner, batch) for h in hidden]
+    total = per_scale[0]
+    for t in per_scale[1:]:
+        total = ad.add(total, t)
     if outer == "M":
         total = ad.scale(total, 1.0 / len(per_scale))
     return total
+
+
+def aggregate(hidden_seqs: Sequence[Sequence[Tensor]], strategy: str) -> Tensor:
+    """Reduce within each scale (sum / mean / last) then across scales (sum / mean).
+
+    Each scale is a list of per-timestep (d, B) hidden states.
+    """
+    _parse_aggregation(strategy)
+    if not hidden_seqs:
+        raise ValueError("aggregate needs at least one hidden sequence")
+    batch = hidden_seqs[0][0].shape[1]
+    return _aggregate([_stack(seq) for seq in hidden_seqs], strategy, batch)
 
 
 def predict_scores(o: Tensor, user_ids, store: ParameterStore, candidate_ids) -> Tensor:
@@ -333,7 +351,8 @@ def predict_scores(o: Tensor, user_ids, store: ParameterStore, candidate_ids) ->
 
 @dataclass
 class ScaleTrace:
-    """Values recorded for one scale: indexed [layer][timestep], each (d, B)."""
+    """Values recorded for one scale: indexed [layer][timestep], each a (d, B)
+    view into the layer's (d, L*B) value."""
 
     forget_gates: list[list[np.ndarray]] = field(default_factory=list)
     hidden: list[list[np.ndarray]] = field(default_factory=list)
@@ -370,35 +389,40 @@ def forward_batch(store: ParameterStore, item_ids, user_ids, candidate_ids,
 
     trace = ForwardTrace()
     if config.scales:
-        columns = _embedding_columns(store, ids)
+        batch, steps = ids.shape
+        x = _embed(store, ids)
         if train and config.dropout > 0.0:
-            columns = [
-                ad.mul(c, ad.constant(_dropout_mask(c.shape, config.dropout, rng)))
-                for c in columns
-            ]
+            # one draw per timestep in order, laid out time-major like x
+            mask = _dropout_mask((steps, config.latent_dim, batch), config.dropout, rng)
+            x = ad.mul(x, ad.constant(mask.transpose(1, 0, 2).reshape(config.latent_dim, -1)))
 
-        hidden_seqs: list[list[Tensor]] = []
+        # every scale's first layer reads x: share its shifted prefixes
+        x_shifted = _shifted_inputs(x, batch, min(max(config.scales), steps))
+        hidden_seqs: list[Tensor] = []
         for w in config.scales:
             strace = trace.scales[w] = ScaleTrace(
                 output_gates=[] if config.use_output_gate else None
             )
-            hidden = columns
+            shifted = x_shifted
             for layer in range(config.num_layers):
-                f_gates = _conv_gate_columns(
-                    hidden, store.forget_filters(w, layer), store.forget_bias(w, layer)
+                if layer:
+                    shifted = _shifted_inputs(hidden, batch, min(w, steps))
+                forget = _conv_gate(
+                    shifted, store.forget_filters(w, layer), store.forget_bias(w, layer), batch
                 )
-                o_gates = None
+                output = None
                 if config.use_output_gate:
-                    o_gates = _conv_gate_columns(
-                        hidden, store.output_filters(w, layer), store.output_bias(w, layer)
+                    output = _conv_gate(
+                        shifted, store.output_filters(w, layer), store.output_bias(w, layer),
+                        batch,
                     )
-                    strace.output_gates.append([g.value for g in o_gates])
-                hidden = _pool_columns(hidden, f_gates, o_gates)
-                strace.forget_gates.append([g.value for g in f_gates])
-                strace.hidden.append([h.value for h in hidden])
+                    strace.output_gates.append(_blocks(output.value, batch))
+                hidden = _pool(shifted[0], forget, output, batch)
+                strace.forget_gates.append(_blocks(forget.value, batch))
+                strace.hidden.append(_blocks(hidden.value, batch))
             hidden_seqs.append(hidden)
 
-        combined = aggregate(hidden_seqs, config.aggregation)
+        combined = _aggregate(hidden_seqs, config.aggregation, batch)
         if train and config.dropout > 0.0:
             mask = _dropout_mask(combined.shape, config.dropout, rng)
             combined = ad.mul(combined, ad.constant(mask))

@@ -120,7 +120,9 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
     """One pass over shuffled training windows; returns (mean loss, examples).
 
     Raises TrainingDivergedError, before the optimizer step, on the first
-    batch whose loss or gradients are not finite.
+    batch whose loss or gradients are not finite; NumPy's overflow and
+    invalid-value warnings are silenced for the step. Each step's tape is
+    cleared after its backward, so its values are freed when the step ends.
     """
     n = len(splits.train_targets)
     if n == 0:
@@ -143,17 +145,20 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
         candidates = np.concatenate([targets[:, None], negatives], axis=1)
 
         store.zero_grads()
-        with ad.record():
-            scores, _ = forward_batch(
-                store, contexts, users, candidates, mode="train", rng=dropout_rng
-            )
-            loss = bce_loss(
-                ad.slice_cols(scores, 0, 1), ad.slice_cols(scores, 1, 1 + k)
-            )
-        ad.backward(loss)
-        batch_loss = loss.item()
-        _check_finite(batch_loss, store, epoch, lo // config.batch_size + 1)
-        adam_step(store, state, config.lr, config.l2)
+        # Overflow and NaN are caught by _check_finite, not reported by NumPy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with ad.record() as tape:
+                scores, _ = forward_batch(
+                    store, contexts, users, candidates, mode="train", rng=dropout_rng
+                )
+                loss = bce_loss(
+                    ad.slice_cols(scores, 0, 1), ad.slice_cols(scores, 1, 1 + k)
+                )
+            ad.backward(loss)
+            tape.records.clear()  # break the tape <-> tensor cycle: free the step now
+            batch_loss = loss.item()
+            _check_finite(batch_loss, store, epoch, lo // config.batch_size + 1)
+            adam_step(store, state, config.lr, config.l2)
         total_loss += batch_loss
 
     return total_loss / n, n

@@ -8,7 +8,7 @@ import numpy as np
 from qrseq import autodiff as ad
 from qrseq import rng as rng_streams
 from qrseq.data import InteractionLog
-from qrseq.model import ModelConfig, ParameterStore, forward_batch
+from qrseq.model import ModelConfig, ParameterStore, forward_batch, predict_scores
 from qrseq.training import bce_loss
 
 
@@ -72,6 +72,67 @@ def model_loss_case(config: ModelConfig, seed: int, batch: int = 3, init_std: fl
         return loss.item()
 
     return store, loss_fn, run_tape
+
+
+def reference_forward(store: ParameterStore, item_ids, user_ids, candidate_ids) -> ad.Tensor:
+    """Eval-mode scores through a per-timestep graph: the oracle for
+    `forward_batch`'s whole-sequence graph.
+
+    Every timestep is its own (d, B) column; each gate sums its taps
+    column by column and the pooling recurrence is one `mul`/`add` pair per
+    step, as the model computed before it worked on whole sequences.
+    """
+    config = store.config
+    ids = np.asarray(item_ids, dtype=np.intp)
+    columns = [ad.transpose(ad.take_rows(store.item_embeddings, ids[:, t]))
+               for t in range(ids.shape[1])]
+
+    def conv(cols, filters, bias):
+        width = len(filters)
+        gates = []
+        for t in range(1, len(cols) + 1):
+            pre = None
+            for i in range(1, width + 1):
+                src = t - width + i
+                if src < 1:
+                    continue
+                term = ad.matmul(filters[i - 1], cols[src - 1])
+                pre = term if pre is None else ad.add(pre, term)
+            gates.append(ad.sigmoid(ad.add_col(pre, bias)))
+        return gates
+
+    def total(tensors):
+        out = tensors[0]
+        for t in tensors[1:]:
+            out = ad.add(out, t)
+        return out
+
+    inner, outer = config.aggregation.split("+")
+    per_scale = []
+    for w in config.scales:
+        hidden = columns
+        for layer in range(config.num_layers):
+            f_gates = conv(hidden, store.forget_filters(w, layer), store.forget_bias(w, layer))
+            o_gates = None
+            if config.use_output_gate:
+                o_gates = conv(hidden, store.output_filters(w, layer),
+                               store.output_bias(w, layer))
+            states, cell = [], None
+            for t, (x_t, f_t) in enumerate(zip(hidden, f_gates)):
+                take = ad.mul(ad.one_minus(f_t), x_t)
+                cell = take if cell is None else ad.add(ad.mul(f_t, cell), take)
+                states.append(cell if o_gates is None else ad.mul(o_gates[t], cell))
+            hidden = states
+        if inner == "S":
+            per_scale.append(total(hidden))
+        elif inner == "M":
+            per_scale.append(ad.scale(total(hidden), 1.0 / len(hidden)))
+        else:
+            per_scale.append(hidden[-1])
+    combined = total(per_scale)
+    if outer == "M":
+        combined = ad.scale(combined, 1.0 / len(per_scale))
+    return predict_scores(combined, user_ids, store, candidate_ids)
 
 
 def oracle_rank(candidate_ids, scores, target_id) -> int:

@@ -346,3 +346,151 @@ def test_records_that_do_not_reach_the_root_are_skipped():
     assert ran == [root, scaled]
     # a zero adjoint pushed through the dead branch would give 0 * inf = nan
     assert np.array_equal(p.grad, [2.0, 2.0])
+
+
+# -- logistic and scatter kernels ----------------------------------------------------
+
+
+def test_logistic_matches_the_select_formula_to_the_bit():
+    rng = np.random.default_rng(30)
+    x = np.concatenate([
+        rng.normal(0, 1, 1000), rng.normal(0, 50, 1000),
+        [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e-300, -1e-300],
+    ])
+    e = np.exp(-np.abs(x))
+    select = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    assert ad._logistic(x, e).tobytes() == select.tobytes()
+    nan = np.array([np.nan])
+    assert np.isnan(ad._logistic(nan, np.exp(-np.abs(nan)))).all()
+
+
+def test_scatter_add_matches_add_at_on_repeated_indices():
+    # reduceat sums each index's rows before adding them to the target, so
+    # the result agrees with np.add.at to rounding, not to the bit
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n = int(rng.integers(1, 50))
+        idx = rng.integers(0, 7, size=n)
+        rows = rng.normal(size=(n, 4))
+        start = rng.normal(size=(7, 4))
+        expected = start.copy()
+        np.add.at(expected, idx, rows)
+        got = start.copy()
+        ad._scatter_add(got, idx, rows)
+        assert np.allclose(got, expected, rtol=1e-13, atol=1e-13)
+        flat_expected = start[:, 0].copy()
+        np.add.at(flat_expected, idx, rows[:, 0])
+        flat = start[:, 0].copy()
+        ad._scatter_add(flat, idx, rows[:, 0])
+        assert np.allclose(flat, flat_expected, rtol=1e-13, atol=1e-13)
+    untouched = start.copy()
+    ad._scatter_add(untouched, np.zeros(0, dtype=np.intp), np.zeros((0, 4)))
+    assert np.array_equal(untouched, start)
+
+
+# -- whole-sequence ops ------------------------------------------------------------
+
+
+def test_shifted_sum_adds_each_column_in_list_order():
+    rng = np.random.default_rng(32)
+    batch, steps = 3, 4
+    terms = [rng.normal(size=(2, (steps - k) * batch)) for k in (2, 1, 0)]
+    out = ad.shifted_sum([ad.constant(t) for t in terms], [2 * batch, batch, 0]).value
+    for col in range(steps * batch):
+        total = None
+        for k, t in zip((2, 1, 0), terms):
+            if col >= k * batch:
+                v = t[:, col - k * batch]
+                total = v if total is None else total + v
+        assert out[:, col].tobytes() == total.tobytes()
+
+
+def test_shifted_sum_rejects_bad_offsets_and_shapes():
+    a = ad.constant(np.zeros((2, 4)))
+    b = ad.constant(np.zeros((2, 6)))
+    with pytest.raises(ValueError, match="decrease to 0"):
+        ad.shifted_sum([b, a], [0, 2])
+    with pytest.raises(ValueError, match="decrease to 0"):
+        ad.shifted_sum([a, b], [2, 1])
+    with pytest.raises(ValueError, match="shape"):
+        ad.shifted_sum([a, b], [3, 0])
+
+
+def test_gated_scan_matches_the_stepwise_recurrence():
+    rng = np.random.default_rng(33)
+    batch, steps = 2, 4
+    f = rng.uniform(size=(3, steps * batch))
+    take = rng.normal(size=(3, steps * batch))
+    out = ad.gated_scan(ad.constant(f), ad.constant(take), batch).value
+    cell = take[:, :batch]
+    assert out[:, :batch].tobytes() == cell.tobytes()
+    for t in range(1, steps):
+        cols = slice(t * batch, (t + 1) * batch)
+        cell = f[:, cols] * cell + take[:, cols]
+        assert out[:, cols].tobytes() == cell.tobytes()
+    with pytest.raises(ValueError, match="blocks"):
+        ad.gated_scan(ad.constant(f), ad.constant(take), 3)
+
+
+def test_sum_col_blocks_sums_in_time_order():
+    rng = np.random.default_rng(34)
+    a = rng.normal(size=(3, 8))
+    out = ad.sum_col_blocks(ad.constant(a), 2).value
+    assert out.tobytes() == (((a[:, 0:2] + a[:, 2:4]) + a[:, 4:6]) + a[:, 6:8]).tobytes()
+    with pytest.raises(ValueError, match="blocks"):
+        ad.sum_col_blocks(ad.constant(a), 3)
+
+
+def test_gradients_of_whole_sequence_ops_with_several_sequences():
+    rng = np.random.default_rng(35)
+    batch, steps = 3, 4
+    n = batch * steps
+
+    def conv(x, w0, w1, w2):
+        return ad.shifted_sum(
+            [ad.matmul(w0, ad.slice_cols(x, 0, n - 2 * batch)),
+             ad.matmul(w1, ad.slice_cols(x, 0, n - batch)),
+             ad.matmul(w2, x)],
+            [2 * batch, batch, 0],
+        )
+
+    weights = [rng.normal(size=(2, 2)) for _ in range(3)]
+    _check_op_gradient(conv, rng.normal(size=(2, n)), *weights)
+    _check_op_gradient(lambda f, take: ad.gated_scan(f, take, batch),
+                       rng.uniform(size=(2, n)), rng.normal(size=(2, n)))
+    _check_op_gradient(lambda a: ad.sum_col_blocks(a, batch), rng.normal(size=(2, n)))
+    # one block: the scan passes its input through
+    _check_op_gradient(lambda f, take: ad.gated_scan(f, take, n),
+                       rng.uniform(size=(2, n)), rng.normal(size=(2, n)))
+
+
+def test_gate_that_also_feeds_an_output_gate():
+    # f is the forget gate of the scan, its complement weighs the input, and
+    # it multiplies the cell as the output gate too
+    rng = np.random.default_rng(36)
+    batch = 2
+
+    def build(x, w, v):
+        f = ad.sigmoid(ad.shifted_sum(
+            [ad.matmul(w, ad.slice_cols(x, 0, 3 * batch)), ad.matmul(v, x)], [batch, 0]))
+        cell = ad.gated_scan(f, ad.mul(ad.one_minus(f), x), batch)
+        return ad.sum_col_blocks(ad.mul(f, cell), batch)
+
+    _check_op_gradient(build, rng.normal(size=(3, 4 * batch)), rng.normal(size=(3, 3)),
+                       rng.normal(size=(3, 3)))
+
+
+def test_shifted_sum_terms_used_earlier_keep_the_other_terms_adjoints():
+    # Both terms take overlapping views of one adjoint first; the earlier
+    # consumers' steps then add into a (elementwise) and b (scatter), which
+    # must not write through into the other's view.
+    rng = np.random.default_rng(37)
+
+    def build(p, q):
+        a = ad.sigmoid(p)  # (2, 6): offset 0
+        b = ad.sigmoid(q)  # (2, 4): offset 2
+        early = ad.add(ad.sum_all(ad.mul(a, a)), ad.sum_all(ad.slice_cols(b, 0, 2)))
+        mixed = ad.shifted_sum([b, a], [2, 0])
+        return ad.add(early, ad.sum_all(ad.mul(mixed, mixed)))
+
+    _check_op_gradient(build, rng.normal(size=(2, 6)), rng.normal(size=(2, 4)))

@@ -20,7 +20,14 @@ from qrseq.model import (
     predict_scores,
     save_checkpoint,
 )
-from helpers import model_loss_case, numeric_gradient, relative_errors, rewrite_config_keys
+from qrseq.training import bce_loss
+from helpers import (
+    model_loss_case,
+    numeric_gradient,
+    reference_forward,
+    relative_errors,
+    rewrite_config_keys,
+)
 
 SIGMOID_1 = 1.0 / (1.0 + np.exp(-1.0))
 SIGMOID_2 = 1.0 / (1.0 + np.exp(-2.0))
@@ -409,6 +416,95 @@ def test_full_model_gradients_match_finite_differences(overrides):
         numeric = numeric_gradient(loss_fn, p)
         worst = relative_errors(p.grad, numeric).max()
         assert worst < 1e-4, f"{name}: relative error {worst}"
+
+
+def test_conv_gate_gradients_when_the_filter_is_wider_than_the_sequence():
+    # w = 4 taps over L = 2 steps: only the two newest taps reach any column
+    rng = np.random.default_rng(14)
+    x = ad.parameter(rng.normal(size=(3, 2)))
+    filters = [ad.parameter(rng.normal(size=(3, 3))) for _ in range(4)]
+    bias = ad.parameter(rng.normal(size=(3, 1)))
+    weights = [ad.constant(rng.normal(size=(3, 1))) for _ in range(2)]
+
+    def build():
+        gates = conv_gates(x, filters, bias)
+        return ad.add(*(ad.sum_all(ad.mul(g, c)) for g, c in zip(gates, weights)))
+
+    with ad.record():
+        root = build()
+    ad.backward(root)
+    assert not filters[0].grad.any() and not filters[1].grad.any()
+    for p in (x, *filters, bias):
+        numeric = numeric_gradient(lambda: build().item(), p)
+        assert relative_errors(p.grad, numeric).max() < 1e-6
+
+
+# -- whole-sequence graph ---------------------------------------------------------------
+
+
+def _scores_and_grads(store, build):
+    store.zero_grads()
+    with ad.record():
+        scores = build()
+        root = ad.sum_all(ad.softplus(scores))
+    ad.backward(root)
+    return scores.value, {n: p.grad.copy() for n, p in store.named_parameters().items()}
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(aggregation="S+S"),
+    dict(aggregation="L+S"),
+    dict(aggregation="L+M"),
+    dict(aggregation="S+M"),
+    dict(aggregation="M+M"),
+    dict(aggregation="S+S", num_layers=1, use_output_gate=False, scales=None),
+], ids=["S+S", "L+S", "L+M", "S+M", "M+M", "one-layer-all-scales"])
+def test_forward_batch_matches_the_per_timestep_oracle(overrides):
+    base = dict(num_items=15, num_users=6, latent_dim=4, seq_len=5, scales=(1, 2, 5),
+                num_layers=2, use_output_gate=True, dropout=0.0)
+    cfg = ModelConfig(**{**base, **overrides})
+    store = ParameterStore(cfg, rng_streams.stream(31, "init"), init_std=0.4)
+    rng = np.random.default_rng(31)
+    ids = rng.integers(0, 16, size=(7, 5))
+    users = rng.integers(1, 7, size=7)
+    cands = rng.integers(1, 16, size=(7, 4))
+    scores, grads = _scores_and_grads(store, lambda: forward_batch(store, ids, users, cands)[0])
+    ref_scores, ref_grads = _scores_and_grads(
+        store, lambda: reference_forward(store, ids, users, cands))
+    assert np.abs(scores - ref_scores).max() <= 1e-12 * np.abs(ref_scores).max()
+    for name, ref in ref_grads.items():
+        gap = np.abs(grads[name] - ref).max()
+        assert gap <= 1e-12 * np.abs(ref).max(), f"{name}: gap {gap}"
+
+
+def test_training_step_records_one_entry_per_stage():
+    # default architecture: seq_len 5, scales 1..5, dropout; the count does
+    # not grow with the batch
+    counts = []
+    for batch in (3, 40):
+        cfg = ModelConfig(num_items=30, num_users=10, latent_dim=4)
+        store = ParameterStore(cfg, rng_streams.stream(2, "init"))
+        rng = np.random.default_rng(batch)
+        ids = rng.integers(0, 31, size=(batch, 5))
+        users = rng.integers(1, 11, size=batch)
+        cands = rng.integers(1, 31, size=(batch, 4))
+        with ad.record() as tape:
+            scores, _ = forward_batch(store, ids, users, cands, mode="train",
+                                      rng=rng_streams.stream(2, "dropout"))
+            bce_loss(ad.slice_cols(scores, 0, 1), ad.slice_cols(scores, 1, 4))
+        counts.append(len(tape.records))
+    assert counts[0] == counts[1] <= 90
+
+
+def test_trace_holds_views_of_each_layers_values():
+    store = small_store(seed=3, use_output_gate=True, num_layers=2)
+    _, trace = forward_batch(store, [[1, 2, 3, 4], [4, 3, 2, 0]], [1, 2], [[5], [6]])
+    for stale in trace.scales.values():
+        for layer in stale.forget_gates + stale.hidden + stale.output_gates:
+            assert len(layer) == 4
+            assert all(step.shape == (3, 2) for step in layer)
+            assert layer[0].base is not None
+            assert all(step.base is layer[0].base for step in layer)
 
 
 # -- checkpoints ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Loss values, Adam behavior, epoch mechanics, fit-level control flow."""
 from __future__ import annotations
 
+import gc
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -208,6 +210,36 @@ def test_fit_raises_on_divergence_instead_of_returning_a_checkpoint():
         fit(log, splits, model_cfg, train_cfg, EvalConfig(),
             evaluate_fn=evaluate_fn)
     assert evaluated == ["validation", "test"]
+
+
+def test_divergence_raises_without_numpy_warnings():
+    log, model_cfg, splits = tiny_setup()
+    train_cfg = TrainConfig(seed=6, lr=1e300, batch_size=16, base_epochs=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError):
+            fit(log, splits, model_cfg, train_cfg, EvalConfig(),
+                evaluate_fn=lambda store, split: fake_report(0.0))
+
+
+def test_train_epoch_leaves_no_tape_alive():
+    # with the cyclic collector off, a tape whose records still held its
+    # tensors would outlive the epoch
+    log, model_cfg, splits = tiny_setup()
+    store = ParameterStore(model_cfg, rng_streams.stream(7, "init"))
+    state = AdamState(store)
+    def tapes():
+        return sum(isinstance(obj, ad.Tape) for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = tapes()
+        train_epoch(log, splits, store, state, TrainConfig(seed=7, batch_size=16), epoch=1)
+        after = tapes()
+    finally:
+        gc.enable()
+    assert after == before
 
 
 def test_single_window_overfits_quickly():
