@@ -28,6 +28,13 @@ column offsets (the causal convolution's taps), ``gated_scan`` runs the
 fo-pooling recurrence over the column blocks with a reverse-scan backward,
 and ``sum_col_blocks`` sums the blocks (the sum over time).
 
+``sigmoid`` is 1 / (1 + exp(-x)) computed in one buffer under
+``np.errstate(over="ignore")``: exp(-x) overflows to inf for x below about
+-709, which yields 0, and the result is then clamped strictly inside
+(0, 1). ``softplus`` keeps the overflow-free exp(-|x|) form, whose term it
+needs for log1p anyway. ``is_recording()`` tells code that also runs off
+the tape (the model's evaluation scoring) whether an op could be taped.
+
 A tape holds its records and each recorded tensor holds its tape, a
 reference cycle: a caller that keeps no use for the tape after
 ``backward`` clears ``tape.records`` so the step's values are freed by
@@ -100,6 +107,11 @@ class Tape:
 
 def _active_tape() -> Tape | None:
     return getattr(_tls, "tape", None)
+
+
+def is_recording() -> bool:
+    """Whether a tape is recording on this thread, so ops may be taped."""
+    return _active_tape() is not None
 
 
 @contextmanager
@@ -346,15 +358,26 @@ def _logistic(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    """Numerically stable logistic function, clamped strictly inside (0, 1)."""
-    x = a.value
-    out_val = _logistic(x, np.exp(-np.abs(x)))
+    """Logistic function 1 / (1 + exp(-x)), clamped strictly inside (0, 1).
+
+    One buffer holds every stage. exp(-x) overflows to inf for x below
+    about -709, which gives 1 / inf = 0 before the clamp, so the overflow
+    is expected and silenced. NaN stays NaN.
+    """
+    out_val = np.negative(a.value)
+    with np.errstate(over="ignore"):
+        np.exp(out_val, out=out_val)
+    out_val += 1.0
+    np.reciprocal(out_val, out=out_val)
     np.clip(out_val, _SIGMOID_LO, _SIGMOID_HI, out=out_val)
     out = Tensor(out_val)
 
     def step(g):
         if a.requires_grad:
-            _accumulate(a, g * out_val * (1.0 - out_val))
+            d = np.subtract(1.0, out_val)  # g * s * (1 - s) in one buffer
+            d *= out_val
+            d *= g
+            _accumulate(a, d)
 
     return _track(out, (a,), step)
 

@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import atomic
 from .data import InteractionLog, ingest, make_splits, preprocess
 from .errors import CompatibilityError, ConfigError, QrseqError
 from .evaluation import EvalConfig, evaluate, poprec_baseline
@@ -150,7 +151,7 @@ def _prepare_out_dir(path: str, force: bool) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    atomic.write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def _run_training(data_path: str, run_cfg: RunConfig, out_dir: Path) -> dict:
         log_lines.append(
             f"{rec.epoch},{rec.mean_loss!r},{rec.val_map!r},{rec.val_recall!r},{rec.val_ndcg!r}"
         )
-    (out_dir / "training_log.csv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    atomic.write_text(out_dir / "training_log.csv", "\n".join(log_lines) + "\n")
 
     _write_json(out_dir / "split_manifest.json", {
         "format_version": MANIFEST_VERSION,
@@ -220,7 +221,7 @@ def _run_training(data_path: str, run_cfg: RunConfig, out_dir: Path) -> dict:
     })
 
     config_lines = [f"{key} = {value}" for key, value in sorted(run_cfg.raw.items())]
-    (out_dir / "config_resolved.ini").write_text("\n".join(config_lines) + "\n", encoding="utf-8")
+    atomic.write_text(out_dir / "config_resolved.ini", "\n".join(config_lines) + "\n")
 
     report = result.test_report.to_json_dict()
     report["best_epoch"] = result.best_epoch
@@ -274,7 +275,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate(scorer, args.split, log, splits, eval_cfg)
     text = report.to_json()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        atomic.write_text(args.out, text)
     print(text, end="")
     return 0
 
@@ -354,7 +355,7 @@ def cmd_ablate(args) -> int:
     for label, ndcg in zip(labels, results):
         lines.append(f"\"{label}\",{ndcg:.6f}")
     table_path = out_dir / f"ablation_{args.study}.csv"
-    table_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic.write_text(table_path, "\n".join(lines) + "\n")
     for label, ndcg in zip(labels, results):
         print(f"{label}: ndcg@{eval_k} {ndcg:.4f}")
     print(f"wrote {table_path}")

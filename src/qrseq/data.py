@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from .errors import EmptyDatasetError, ParseError, SamplingError
 
 DATASET_VERSION = 1
@@ -88,7 +89,7 @@ class InteractionLog:
 
     def save(self, path) -> None:
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        atomic.write_text(path, text + "\n")
 
     @classmethod
     def load(cls, path) -> "InteractionLog":

@@ -17,6 +17,10 @@ only the pooling recurrence runs step by step, inside `ad.gated_scan`.
 So a training step records one tape entry per stage, not one per
 timestep. The single-sequence entry points take a (d, L) matrix, the B=1
 case, and return one (d, 1) tensor per timestep.
+
+The head gathers each candidate's row on the tape. Off the tape, as in
+evaluation, it scores a catalogue small enough for the candidate count
+with one GEMM over every item instead (`predict_scores`).
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import atomic
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import CompatibilityError, ConfigError
@@ -37,6 +42,20 @@ CHECKPOINT_VERSION = 1
 INIT_STD = 0.01
 
 SCORE_CHUNK = 128  # users per eval-mode forward in ModelScorer
+
+# Off the tape, the head scores every item with one GEMM while the catalogue
+# (num_items + 1 rows) has at most this many rows per candidate, and gathers
+# the candidates' rows beyond. The GEMM does num_items + 1 dot products per
+# user at BLAS speed; the gather copies C rows per user into a (B, C, 2d)
+# block and is bound by memory. Per 128-user chunk at d = 128 and C = 101
+# (float64, one OpenBLAS thread, 2-core VM) they took 0.5 against 13 ms at
+# 200 items, 9.9 against 15.4 ms at 5k and 39 against 16 ms at 20k. At
+# C = 21 and 41 the GEMM still won at 48 rows per candidate and lost at 95;
+# at C = 101 the two tied at 74. The gather side is taken by gradient
+# checks' loss passes (C = 3) on perfbench's catalog-20k (5k items): over
+# 10 paired runs its gradcheck_coords_per_s had a median of 362 with the
+# gather and 220 with the GEMM.
+HEAD_GEMM_ROWS_PER_CANDIDATE = 50
 
 
 @dataclass
@@ -323,6 +342,15 @@ def predict_scores(o: Tensor, user_ids, store: ParameterStore, candidate_ids) ->
 
     `o` is (d, B); `candidate_ids` is (B, C). Returns a (B, C) tensor.
     With the user profile disabled, the profile half of the input is zero.
+
+    While a tape records, the scores are taped `rows_dot_cols` + `gather`
+    ops. Off the tape (evaluation, loss-only passes) a catalogue of at most
+    HEAD_GEMM_ROWS_PER_CANDIDATE rows per candidate is scored whole by
+    one GEMM and each user's candidates are picked from it, which is far
+    cheaper than gathering a (B, C, 2d) block of head rows; a larger
+    catalogue keeps the gather, whose cost does not grow with it. The two
+    paths sum the same products in another order, so their scores can
+    differ in the last bits.
     """
     cands = np.asarray(candidate_ids, dtype=np.intp)
     if cands.ndim != 2 or cands.size == 0:
@@ -331,10 +359,23 @@ def predict_scores(o: Tensor, user_ids, store: ParameterStore, candidate_ids) ->
     if bad.size:
         shown = sorted(set(int(i) for i in bad.ravel()[:8]))
         raise IndexError(f"unknown candidate ids: {shown}")
+    users = None
     if store.user_embeddings is not None:
         users = np.asarray(user_ids, dtype=np.intp)
         if np.any((users < 1) | (users > store.config.num_users)):
             raise IndexError(f"user id out of range 1..{store.config.num_users}")
+    rows = store.config.num_items + 1
+    if not ad.is_recording() and rows <= HEAD_GEMM_ROWS_PER_CANDIDATE * cands.shape[1]:
+        d = o.shape[0]
+        z_rows = np.zeros((o.shape[1], 2 * d))  # z transposed: one row per user
+        z_rows[:, :d] = o.value.T
+        if users is not None:
+            z_rows[:, d:] = store.user_embeddings.value[users]
+        every_item = z_rows @ store.head_weights.value.T  # (B, rows)
+        picked = np.take_along_axis(every_item, cands, axis=1)
+        picked += store.head_bias.value[cands]
+        return ad.constant(picked)
+    if users is not None:
         profile = ad.transpose(ad.take_rows(store.user_embeddings, users))
     else:
         profile = ad.constant(np.zeros_like(o.value))
@@ -434,7 +475,11 @@ def forward_batch(store: ParameterStore, item_ids, user_ids, candidate_ids,
 
 
 class ModelScorer:
-    """Read-only eval-mode scoring interface used by the evaluation loop."""
+    """Read-only eval-mode scoring interface used by the evaluation loop.
+
+    It scores SCORE_CHUNK users per forward pass, off the tape, so the head
+    takes its GEMM path for catalogues small enough (`predict_scores`).
+    """
 
     def __init__(self, store: ParameterStore):
         self.store = store
@@ -456,14 +501,22 @@ class ModelScorer:
 
 
 def save_checkpoint(path, store: ParameterStore, extra: dict | None = None) -> None:
-    """Write config + every parameter array; values round-trip bit-exactly."""
+    """Write config + every parameter array; values round-trip bit-exactly.
+
+    As with `np.savez`, ".npz" is appended to a path without it. The file
+    is replaced atomically, so an interrupted save leaves the old one.
+    """
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(store.config),
         "extra": extra or {},
     }
     arrays = {name: p.value for name, p in store.named_parameters().items()}
-    np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+    path = str(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    with atomic.replacing(path) as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
 def load_checkpoint(path) -> tuple[ParameterStore, dict]:

@@ -1,6 +1,8 @@
 """Numeric core: op semantics, tape mechanics, gradients vs finite differences."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,10 +55,23 @@ def test_sigmoid_closed_form():
 
 def test_sigmoid_strictly_open_interval_for_extreme_inputs():
     rng = np.random.default_rng(0)
-    x = np.concatenate([rng.normal(0, 200, 100), [-1e6, 1e6, -745.0, 745.0]])
-    out = ad.sigmoid(ad.constant(x)).value
+    x = np.concatenate([rng.normal(0, 200, 100),
+                        [-1e6, 1e6, -745.0, 745.0, -800.0, 800.0, -np.inf, np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp(-x) overflowing for x < -709 is expected
+        out = ad.sigmoid(ad.constant(x)).value
     assert np.all(out > 0.0) and np.all(out < 1.0)
     assert np.all(np.isfinite(out))
+
+
+def test_sigmoid_keeps_nan():
+    out = ad.sigmoid(ad.constant([np.nan, 0.0, -np.nan])).value
+    assert np.isnan(out[0]) and out[1] == 0.5 and np.isnan(out[2])
+
+
+def test_sigmoid_gradient_into_saturation():
+    x = np.random.default_rng(31).normal(0, 12, size=(4, 6))
+    _check_op_gradient(lambda t: ad.sigmoid(t), x)
 
 
 def test_mul_zero_annihilator():

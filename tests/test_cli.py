@@ -61,10 +61,10 @@ def test_preprocess_strict_flag_rejects_malformed(tmp_path, capsys):
 def test_train_writes_expected_artifacts(small_dataset, base_config, tmp_path):
     out = tmp_path / "run"
     assert run(["train", "--data", small_dataset, "--config", base_config, "--out", out]) == 0
-    assert (out / "checkpoint.npz").exists()
-    assert (out / "test_report.json").exists()
-    assert (out / "split_manifest.json").exists()
-    assert (out / "config_resolved.ini").exists()
+    assert sorted(p.name for p in out.iterdir()) == [  # no temp file left behind
+        "checkpoint.npz", "config_resolved.ini", "split_manifest.json", "test_report.json",
+        "training_log.csv",
+    ]
     log_lines = (out / "training_log.csv").read_text().splitlines()
     assert log_lines[0] == "# format_version=1"
     assert log_lines[1] == "epoch,mean_loss,val_map,val_recall_at_10,val_ndcg_at_10"
@@ -191,6 +191,20 @@ def test_evaluate_writes_report_file(trained, small_dataset, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert out.read_text() == printed
     assert json.loads(printed)["split"] == "test"
+
+
+def test_evaluate_writes_through_a_symlinked_report_file(trained, small_dataset, tmp_path,
+                                                         capsys):
+    target = tmp_path / "reports" / "report.json"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link = tmp_path / "report.json"
+    link.symlink_to(target)
+    assert run(["evaluate", "--checkpoint", trained / "checkpoint.npz",
+                "--data", small_dataset, "--out", link]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == capsys.readouterr().out
+    assert [p.name for p in target.parent.iterdir()] == ["report.json"]
 
 
 def test_train_divergence_exits_1_without_a_checkpoint(small_dataset, base_config, tmp_path,

@@ -1,14 +1,20 @@
 """Model blocks: gating, pooling, aggregation, scoring, checkpoints."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from qrseq import autodiff as ad
 from qrseq import rng as rng_streams
 from qrseq.errors import CompatibilityError, ConfigError
+from qrseq.evaluation import target_ranks
 from qrseq.model import (
+    HEAD_GEMM_ROWS_PER_CANDIDATE,
+    SCORE_CHUNK,
     ModelConfig,
+    ModelScorer,
     ParameterStore,
     aggregate,
     conv_gates,
@@ -505,6 +511,52 @@ def test_trace_holds_views_of_each_layers_values():
             assert all(step.shape == (3, 2) for step in layer)
             assert layer[0].base is not None
             assert all(step.base is layer[0].base for step in layer)
+
+
+# -- evaluation scoring --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("profile", [True, False], ids=["profile", "no-profile"])
+@pytest.mark.parametrize("head_path", ["gemm", "gather"])
+def test_model_scorer_matches_the_taped_forward(monkeypatch, head_path, profile):
+    # 201 head rows: the fewest candidates that take the GEMM, or one fewer
+    num_candidates = -(-201 // HEAD_GEMM_ROWS_PER_CANDIDATE) - (head_path == "gather")
+    cfg = ModelConfig(num_items=200, num_users=40, latent_dim=8, num_layers=2,
+                      use_output_gate=True, use_user_profile=profile, aggregation="L+M",
+                      dropout=0.0)
+    store = ParameterStore(cfg, rng_streams.stream(17, "init"), init_std=0.3)
+    rng = np.random.default_rng(17)
+    n = SCORE_CHUNK + 9  # a full chunk and a short one
+    ids = rng.integers(0, 201, size=(n, 5))
+    users = rng.integers(1, 41, size=n)
+    cands = rng.integers(1, 201, size=(n, num_candidates))
+    cands[4, 1:] = cands[4, 1]  # repeated negatives, as uniform draws give
+    gathers = []
+    rows_dot_cols = ad.rows_dot_cols
+    monkeypatch.setattr(ad, "rows_dot_cols", lambda *a: gathers.append(1) or rows_dot_cols(*a))
+
+    scored = ModelScorer(store).score_batch(users, ids, cands)
+    assert bool(gathers) == (head_path == "gather")
+    with ad.record():
+        taped = forward_batch(store, ids, users, cands)[0].value
+    assert np.linalg.norm(scored - taped) <= 1e-12 * np.linalg.norm(taped)
+    assert np.array_equal(target_ranks(scored), target_ranks(taped))
+    assert np.unique(scored[4, 1:]).size == 1
+
+
+def test_eval_scoring_with_saturated_gates_emits_no_warning():
+    cfg = ModelConfig(num_items=20, num_users=4, latent_dim=4, scales=(1, 3), num_layers=2,
+                      use_output_gate=True, dropout=0.0)
+    store = ParameterStore(cfg, rng_streams.stream(5, "init"), init_std=30.0)
+    rng = np.random.default_rng(5)
+    ids = rng.integers(1, 21, size=(6, 5))
+    pre = store.forget_filters(1, 0)[0].value @ store.item_embeddings.value[ids.ravel()].T
+    assert pre.max() > 745.0 and pre.min() < -745.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = ModelScorer(store).score_batch(rng.integers(1, 5, size=6), ids,
+                                                rng.integers(1, 21, size=(6, 4)))
+    assert np.isfinite(scores).all()
 
 
 # -- checkpoints ---------------------------------------------------------------------
