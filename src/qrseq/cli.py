@@ -144,6 +144,8 @@ def _require_file(path: str, what: str) -> Path:
 
 def _prepare_out_dir(path: str, force: bool) -> Path:
     out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output directory {out} is an existing file")
     if out.exists() and any(out.iterdir()) and not force:
         raise ConfigError(f"output directory {out} already has results; use --force to overwrite")
     out.mkdir(parents=True, exist_ok=True)
@@ -430,7 +432,7 @@ def main(argv=None) -> int:
     except QrseqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

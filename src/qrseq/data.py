@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic
-from .errors import EmptyDatasetError, ParseError, SamplingError
+from .errors import CompatibilityError, EmptyDatasetError, ParseError, SamplingError
 
 DATASET_VERSION = 1
 
@@ -93,15 +93,21 @@ class InteractionLog:
 
     @classmethod
     def load(cls, path) -> "InteractionLog":
-        from .errors import CompatibilityError
-
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8 text, or not JSON
+            raise CompatibilityError(f"{path}: not a processed dataset ({exc})") from None
+        if not isinstance(data, dict):
+            raise CompatibilityError(f"{path}: not a processed dataset (not a JSON object)")
         version = data.get("format_version")
         if version != DATASET_VERSION:
             raise CompatibilityError(
                 f"{path}: dataset format version {version} not supported "
                 f"(expected {DATASET_VERSION})"
             )
+        missing = sorted({"sequences", "user_ids", "item_ids"} - data.keys())
+        if missing:
+            raise CompatibilityError(f"{path}: not a processed dataset (missing {missing})")
         return cls(data["sequences"], data["user_ids"], data["item_ids"])
 
 

@@ -15,8 +15,7 @@ one GEMM per tap over every timestep it reaches (tap k reads the columns
 before the last k*B), summed at column offset k*B by `ad.shifted_sum`;
 only the pooling recurrence runs step by step, inside `ad.gated_scan`.
 So a training step records one tape entry per stage, not one per
-timestep. The single-sequence entry points take a (d, L) matrix, the B=1
-case, and return one (d, 1) tensor per timestep.
+timestep.
 
 The head gathers each candidate's row on the tape. Off the tape, as in
 evaluation, it scores a catalogue small enough for the candidate count
@@ -25,6 +24,7 @@ with one GEMM over every item instead (`predict_scores`).
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
@@ -212,33 +212,9 @@ def _embed(store: ParameterStore, item_ids: np.ndarray) -> Tensor:
     return ad.transpose(ad.take_rows(store.item_embeddings, item_ids.T.ravel()))
 
 
-def embed_sequence(store: ParameterStore, item_ids) -> Tensor:
-    """Embed one id sequence into a (d, L) matrix, oldest to newest.
-
-    Id 0 is the padding item and yields a zero column.
-    """
-    ids = np.asarray(item_ids, dtype=np.intp)
-    if ids.ndim != 1:
-        raise ValueError(f"embed_sequence expects a flat id list, got shape {ids.shape}")
-    return _embed(store, ids[None, :])
-
-
 def _blocks(values: np.ndarray, batch: int) -> list[np.ndarray]:
     """Per-timestep (d, B) views of a (d, L*B) array."""
     return [values[:, lo:lo + batch] for lo in range(0, values.shape[1], batch)]
-
-
-def _columns(x: Tensor, batch: int) -> list[Tensor]:
-    """Per-timestep (d, B) tensors of a (d, L*B) tensor."""
-    return [ad.slice_cols(x, lo, lo + batch) for lo in range(0, x.shape[1], batch)]
-
-
-def _stack(columns: Sequence[Tensor]) -> Tensor:
-    """The (d, L*B) tensor of per-timestep (d, B) tensors."""
-    rows = ad.transpose(columns[0])
-    for c in columns[1:]:
-        rows = ad.concat_rows(rows, ad.transpose(c))
-    return ad.transpose(rows)
 
 
 def _shifted_inputs(x: Tensor, batch: int, width: int) -> list[Tensor]:
@@ -248,7 +224,7 @@ def _shifted_inputs(x: Tensor, batch: int, width: int) -> list[Tensor]:
     return [x] + [ad.slice_cols(x, 0, n - k * batch) for k in range(1, width)]
 
 
-def _conv_gate(shifted: Sequence[Tensor], filters: Sequence[Tensor], bias: Tensor | None,
+def _conv_gate(shifted: Sequence[Tensor], filters: Sequence[Tensor], bias: Tensor,
                batch: int) -> Tensor:
     """Causal width-w convolution + sigmoid; positions before the sequence
     start contribute nothing (zero left padding). Filter i is the tap
@@ -257,17 +233,7 @@ def _conv_gate(shifted: Sequence[Tensor], filters: Sequence[Tensor], bias: Tenso
     shifts = range(min(width, len(shifted)) - 1, -1, -1)
     terms = [ad.matmul(filters[width - 1 - k], shifted[k]) for k in shifts]
     pre = terms[0] if len(terms) == 1 else ad.shifted_sum(terms, [k * batch for k in shifts])
-    if bias is not None:
-        pre = ad.add_col(pre, bias)
-    return ad.sigmoid(pre)
-
-
-def conv_gates(x: Tensor, filters: Sequence[Tensor], bias: Tensor | None = None) -> list[Tensor]:
-    """Gate sequence for a (d, L) input matrix; one (d, 1) gate per timestep."""
-    if not filters:
-        raise ValueError("conv_gates needs at least one filter matrix")
-    shifted = _shifted_inputs(x, 1, min(len(filters), x.shape[1]))
-    return _columns(_conv_gate(shifted, filters, bias, 1), 1)
+    return ad.sigmoid(ad.add_col(pre, bias))
 
 
 def _pool(x: Tensor, forget: Tensor, output: Tensor | None, batch: int) -> Tensor:
@@ -275,33 +241,6 @@ def _pool(x: Tensor, forget: Tensor, output: Tensor | None, batch: int) -> Tenso
     state is h_t = o_t*c_t with output gates, else c_t itself."""
     cell = ad.gated_scan(forget, ad.mul(ad.one_minus(forget), x), batch)
     return cell if output is None else ad.mul(output, cell)
-
-
-def dynamic_average_pool(x: Tensor, gates: Sequence[Tensor]) -> list[Tensor]:
-    """Forget-gated moving average h_t = f_t*h_{t-1} + (1-f_t)*x_t, h_0 = 0."""
-    if len(gates) != x.shape[1]:
-        raise ValueError(f"expected {x.shape[1]} gates, got {len(gates)}")
-    return _columns(_pool(x, _stack(gates), None, 1), 1)
-
-
-def output_gate_pool(x: Tensor, forget_gates: Sequence[Tensor],
-                     output_gates: Sequence[Tensor]) -> list[Tensor]:
-    """Gated variant: c_t = f_t*c_{t-1} + (1-f_t)*x_t, h_t = o_t*c_t, c_0 = 0."""
-    if len(forget_gates) != x.shape[1] or len(output_gates) != x.shape[1]:
-        raise ValueError(
-            f"expected {x.shape[1]} forget and output gates, "
-            f"got {len(forget_gates)} and {len(output_gates)}"
-        )
-    return _columns(_pool(x, _stack(forget_gates), _stack(output_gates), 1), 1)
-
-
-def _parse_aggregation(strategy: str) -> tuple[str, str]:
-    if strategy not in AGGREGATIONS:
-        raise ConfigError(
-            f"unknown aggregation strategy {strategy!r}; expected one of {', '.join(AGGREGATIONS)}"
-        )
-    inner, outer = strategy.split("+")
-    return inner, outer
 
 
 def _reduce_time(hidden: Tensor, code: str, batch: int) -> Tensor:
@@ -315,7 +254,7 @@ def _reduce_time(hidden: Tensor, code: str, batch: int) -> Tensor:
 
 def _aggregate(hidden: Sequence[Tensor], strategy: str, batch: int) -> Tensor:
     """Reduce each (d, L*B) scale over time, then across scales (sum / mean)."""
-    inner, outer = _parse_aggregation(strategy)
+    inner, outer = strategy.split("+")
     per_scale = [_reduce_time(h, inner, batch) for h in hidden]
     total = per_scale[0]
     for t in per_scale[1:]:
@@ -323,18 +262,6 @@ def _aggregate(hidden: Sequence[Tensor], strategy: str, batch: int) -> Tensor:
     if outer == "M":
         total = ad.scale(total, 1.0 / len(per_scale))
     return total
-
-
-def aggregate(hidden_seqs: Sequence[Sequence[Tensor]], strategy: str) -> Tensor:
-    """Reduce within each scale (sum / mean / last) then across scales (sum / mean).
-
-    Each scale is a list of per-timestep (d, B) hidden states.
-    """
-    _parse_aggregation(strategy)
-    if not hidden_seqs:
-        raise ValueError("aggregate needs at least one hidden sequence")
-    batch = hidden_seqs[0][0].shape[1]
-    return _aggregate([_stack(seq) for seq in hidden_seqs], strategy, batch)
 
 
 def predict_scores(o: Tensor, user_ids, store: ParameterStore, candidate_ids) -> Tensor:
@@ -521,7 +448,13 @@ def save_checkpoint(path, store: ParameterStore, extra: dict | None = None) -> N
 
 def load_checkpoint(path) -> tuple[ParameterStore, dict]:
     """Load a checkpoint; returns (store, extra-metadata)."""
-    with np.load(path, allow_pickle=False) as bundle:
+    try:
+        bundle = np.load(path, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile):  # empty, not numpy, or a broken zip
+        bundle = None
+    if not isinstance(bundle, np.lib.npyio.NpzFile):  # also a one-array .npy
+        raise CompatibilityError(f"{path}: not a model checkpoint (unreadable as .npz)")
+    with bundle:
         if "__meta__" not in bundle:
             raise CompatibilityError(f"{path}: not a model checkpoint (missing metadata)")
         meta = json.loads(str(bundle["__meta__"]))

@@ -17,10 +17,9 @@ from qrseq.model import (
     ModelConfig,
     ModelScorer,
     ParameterStore,
-    aggregate,
-    dynamic_average_pool,
+    _aggregate,
+    _pool,
     forward_batch,
-    output_gate_pool,
 )
 from qrseq.training import AdamState, TrainConfig, adam_step, bce_loss, train_epoch
 from helpers import (
@@ -90,22 +89,17 @@ def test_criterion_2_pooling_limit_identities():
     rng = np.random.default_rng(1)
     x_val = rng.normal(size=(4, 5))
     x = ad.constant(x_val)
-    zeros = [ad.constant(np.zeros((4, 1))) for _ in range(5)]
-    ones = [ad.constant(np.ones((4, 1))) for _ in range(5)]
-    passthrough = all(
-        np.array_equal(h.value[:, 0], x_val[:, t])
-        for t, h in enumerate(dynamic_average_pool(x, zeros))
-    )
-    held = all(
-        np.array_equal(h.value, np.zeros((4, 1))) for h in dynamic_average_pool(x, ones)
-    )
-    f_gates = [ad.constant(rng.uniform(0.05, 0.95, size=(4, 1))) for _ in range(5)]
-    reduces = all(
-        np.array_equal(a.value, b.value)
-        for a, b in zip(
-            output_gate_pool(x, f_gates, ones), dynamic_average_pool(x, f_gates)
-        )
-    )
+    zeros = ad.constant(np.zeros((4, 5)))
+    ones = ad.constant(np.ones((4, 5)))
+    # the B=1 case of forward_batch's pooling stage: column t is timestep t
+    passed = _pool(x, zeros, None, 1).value
+    passthrough = all(np.array_equal(passed[:, t], x_val[:, t]) for t in range(5))
+    held_states = _pool(x, ones, None, 1).value
+    held = all(np.array_equal(held_states[:, t:t + 1], np.zeros((4, 1))) for t in range(5))
+    f_gates = ad.constant(rng.uniform(0.05, 0.95, size=(5, 4)).T)  # one (4,) draw per step
+    gated = _pool(x, f_gates, ones, 1).value
+    plain = _pool(x, f_gates, None, 1).value
+    reduces = all(np.array_equal(gated[:, t], plain[:, t]) for t in range(5))
     report_criterion(
         "criterion 2: pooling limit identities exact",
         passthrough and held and reduces,
@@ -155,12 +149,10 @@ def test_criterion_3_causality():
 
 def test_criterion_4_hsa_linearity():
     rng = np.random.default_rng(3)
-    seqs = [
-        [ad.constant(rng.normal(size=(6, 1))) for _ in range(5)]
-        for _ in range(4)
-    ]
-    joint = aggregate(seqs, "S+S").value
-    separate = sum(aggregate([seq], "S+S").value for seq in seqs)
+    # 4 scales of 5 timesteps, one (6,) draw per step; column t is timestep t
+    seqs = [ad.constant(seq) for seq in rng.normal(size=(4, 5, 6)).transpose(0, 2, 1)]
+    joint = _aggregate(seqs, "S+S", 1).value
+    separate = sum(_aggregate([seq], "S+S", 1).value for seq in seqs)
     gap = float(np.abs(joint - separate).max())
     report_criterion(
         "criterion 4: sum-over-scales aggregation is linear",

@@ -236,6 +236,37 @@ def test_evaluate_incompatible_dataset_fails(trained, tmp_path, capsys):
     assert "items" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["not json\n", '{"format_version": 1}\n', "[1, 2]\n"],
+                         ids=["not-json", "missing-keys", "not-an-object"])
+def test_evaluate_malformed_dataset_exits_1(tmp_path, content, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    code = run(["evaluate", "--baseline", "poprec", "--seed", 1, "--data", bad])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not a processed dataset") and err.count("\n") == 1
+
+
+def test_train_out_naming_a_file_exits_2(small_dataset, base_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.write_text("not a directory\n")
+    code = run(["train", "--data", small_dataset, "--config", base_config, "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: output directory {out} is an existing file\n"
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["train-config", "evaluate-data"])
+def test_input_file_naming_a_directory_exits_1(small_dataset, tmp_path, command, capsys):
+    if command == "train-config":
+        args = ["train", "--data", small_dataset, "--config", tmp_path, "--out", tmp_path / "run"]
+    else:
+        args = ["evaluate", "--baseline", "poprec", "--seed", 1, "--data", tmp_path]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
 # -- ablate ------------------------------------------------------------------------
 
 

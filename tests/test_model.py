@@ -16,13 +16,13 @@ from qrseq.model import (
     ModelConfig,
     ModelScorer,
     ParameterStore,
-    aggregate,
-    conv_gates,
-    dynamic_average_pool,
-    embed_sequence,
+    _aggregate,
+    _conv_gate,
+    _embed,
+    _pool,
+    _shifted_inputs,
     forward_batch,
     load_checkpoint,
-    output_gate_pool,
     predict_scores,
     save_checkpoint,
 )
@@ -48,6 +48,11 @@ def small_config(**overrides):
 def small_store(seed=0, init_std=0.3, **overrides):
     cfg = small_config(**overrides)
     return ParameterStore(cfg, rng_streams.stream(seed, "init"), init_std=init_std)
+
+
+def gate_matrix(x, filters, bias):
+    """The (d, L) gates of one sequence: the B=1 case of forward_batch's gate stage."""
+    return _conv_gate(_shifted_inputs(x, 1, min(len(filters), x.shape[1])), filters, bias, 1)
 
 
 # -- config ------------------------------------------------------------------
@@ -109,29 +114,29 @@ def test_store_without_profile_has_no_user_table():
 
 def test_embed_all_padding_is_zero_matrix():
     store = small_store()
-    out = embed_sequence(store, [0, 0, 0, 0])
+    out = _embed(store, np.array([[0, 0, 0, 0]]))
     assert np.array_equal(out.value, np.zeros((3, 4)))
 
 
 def test_embed_repeated_id_gives_identical_columns():
     store = small_store()
-    out = embed_sequence(store, [7] * 4).value
+    out = _embed(store, np.array([[7] * 4])).value
     for t in range(1, 4):
         assert np.array_equal(out[:, t], out[:, 0])
 
 
 def test_embed_reversal_reverses_columns():
     store = small_store()
-    ids = [3, 5, 9, 2]
-    fwd = embed_sequence(store, ids).value
-    rev = embed_sequence(store, ids[::-1]).value
+    ids = np.array([[3, 5, 9, 2]])
+    fwd = _embed(store, ids).value
+    rev = _embed(store, ids[:, ::-1]).value
     assert np.array_equal(rev, fwd[:, ::-1])
 
 
 def test_embed_rejects_out_of_range_id():
     store = small_store()
     with pytest.raises(IndexError):
-        embed_sequence(store, [1, 2, 99, 3])
+        _embed(store, np.array([[1, 2, 99, 3]]))
 
 
 # -- convolution gating ---------------------------------------------------------
@@ -139,17 +144,17 @@ def test_embed_rejects_out_of_range_id():
 
 def test_zero_filters_give_half_gates():
     x = ad.constant(np.random.default_rng(0).normal(size=(3, 4)))
-    gates = conv_gates(x, [ad.constant(np.zeros((3, 3)))], ad.constant(np.zeros((3, 1))))
-    for g in gates:
-        assert np.array_equal(g.value, np.full((3, 1), 0.5))
+    gates = gate_matrix(x, [ad.constant(np.zeros((3, 3)))], ad.constant(np.zeros((3, 1))))
+    for t in range(4):
+        assert np.array_equal(gates.value[:, t:t + 1], np.full((3, 1), 0.5))
 
 
 def test_conv_gate_hand_value_width_two():
     x = ad.constant([[1.0, 1.0]])
     filters = [ad.constant([[1.0]]), ad.constant([[1.0]])]
-    gates = conv_gates(x, filters)
-    assert gates[0].value[0, 0] == pytest.approx(SIGMOID_1, abs=1e-12)
-    assert gates[1].value[0, 0] == pytest.approx(SIGMOID_2, abs=1e-12)
+    gates = gate_matrix(x, filters, ad.constant([[0.0]]))
+    assert gates.value[0, 0] == pytest.approx(SIGMOID_1, abs=1e-12)
+    assert gates.value[0, 1] == pytest.approx(SIGMOID_2, abs=1e-12)
 
 
 def test_gates_ignore_future_columns():
@@ -157,13 +162,13 @@ def test_gates_ignore_future_columns():
     base = rng.normal(size=(3, 4))
     filters = [ad.constant(rng.normal(size=(3, 3))) for _ in range(2)]
     bias = ad.constant(rng.normal(size=(3, 1)))
-    gates = conv_gates(ad.constant(base), filters, bias)
+    gates = gate_matrix(ad.constant(base), filters, bias).value
     for t_perturb in range(1, 4):
         bumped = base.copy()
         bumped[:, t_perturb] += rng.normal(size=3)
-        new_gates = conv_gates(ad.constant(bumped), filters, bias)
+        new_gates = gate_matrix(ad.constant(bumped), filters, bias).value
         for t in range(t_perturb):
-            assert np.array_equal(new_gates[t].value, gates[t].value)
+            assert np.array_equal(new_gates[:, t], gates[:, t])
 
 
 # -- pooling -------------------------------------------------------------------
@@ -172,59 +177,50 @@ def test_gates_ignore_future_columns():
 def test_pool_passthrough_when_gates_zero():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 4))
-    gates = [ad.constant(np.zeros((3, 1))) for _ in range(4)]
-    hidden = dynamic_average_pool(ad.constant(x), gates)
-    for t, h in enumerate(hidden):
-        assert np.array_equal(h.value[:, 0], x[:, t])
+    hidden = _pool(ad.constant(x), ad.constant(np.zeros((3, 4))), None, 1).value
+    for t in range(4):
+        assert np.array_equal(hidden[:, t], x[:, t])
 
 
 def test_pool_holds_zero_when_gates_one():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(3, 4))
-    gates = [ad.constant(np.ones((3, 1))) for _ in range(4)]
-    hidden = dynamic_average_pool(ad.constant(x), gates)
-    for h in hidden:
-        assert np.array_equal(h.value, np.zeros((3, 1)))
+    hidden = _pool(ad.constant(x), ad.constant(np.ones((3, 4))), None, 1).value
+    for t in range(4):
+        assert np.array_equal(hidden[:, t:t + 1], np.zeros((3, 1)))
 
 
 def test_pool_half_gates_forced_arithmetic():
     x = ad.constant([[1.0, 1.0, 1.0]])
-    gates = [ad.constant([[0.5]]) for _ in range(3)]
-    hidden = dynamic_average_pool(x, gates)
-    assert [h.value[0, 0] for h in hidden] == [0.5, 0.75, 0.875]
-
-
-def test_pool_rejects_wrong_gate_count():
-    with pytest.raises(ValueError, match="gates"):
-        dynamic_average_pool(ad.constant(np.zeros((2, 3))), [ad.constant(np.zeros((2, 1)))])
+    hidden = _pool(x, ad.constant([[0.5, 0.5, 0.5]]), None, 1)
+    assert hidden.value[0].tolist() == [0.5, 0.75, 0.875]
 
 
 def test_output_gate_identity_matches_plain_pooling():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 4))
-    f = [ad.constant(rng.uniform(0.1, 0.9, size=(3, 1))) for _ in range(4)]
-    ones = [ad.constant(np.ones((3, 1))) for _ in range(4)]
-    plain = dynamic_average_pool(ad.constant(x), f)
-    gated = output_gate_pool(ad.constant(x), f, ones)
-    for a, b in zip(plain, gated):
-        assert np.array_equal(a.value, b.value)
+    f = ad.constant(rng.uniform(0.1, 0.9, size=(4, 3)).T)  # one (3,) draw per step
+    plain = _pool(ad.constant(x), f, None, 1).value
+    gated = _pool(ad.constant(x), f, ad.constant(np.ones((3, 4))), 1).value
+    for t in range(4):
+        assert np.array_equal(plain[:, t], gated[:, t])
 
 
 def test_output_gate_zero_annihilates():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 4))
-    f = [ad.constant(rng.uniform(0.1, 0.9, size=(3, 1))) for _ in range(4)]
-    zeros = [ad.constant(np.zeros((3, 1))) for _ in range(4)]
-    for h in output_gate_pool(ad.constant(x), f, zeros):
-        assert np.array_equal(h.value, np.zeros((3, 1)))
+    f = ad.constant(rng.uniform(0.1, 0.9, size=(4, 3)).T)  # one (3,) draw per step
+    hidden = _pool(ad.constant(x), f, ad.constant(np.zeros((3, 4))), 1).value
+    for t in range(4):
+        assert np.array_equal(hidden[:, t:t + 1], np.zeros((3, 1)))
 
 
 def test_output_gate_hand_values():
     x = ad.constant([[1.0, 1.0]])
-    f = [ad.constant([[0.5]]) for _ in range(2)]
-    o = [ad.constant([[0.5]]) for _ in range(2)]
-    hidden = output_gate_pool(x, f, o)
-    assert [h.value[0, 0] for h in hidden] == [0.25, 0.375]
+    f = ad.constant([[0.5, 0.5]])
+    o = ad.constant([[0.5, 0.5]])
+    hidden = _pool(x, f, o, 1)
+    assert hidden.value[0].tolist() == [0.25, 0.375]
 
 
 # -- aggregation -----------------------------------------------------------------
@@ -233,33 +229,28 @@ def test_output_gate_hand_values():
 def test_single_state_all_strategies_agree():
     h = ad.constant(np.array([[1.5], [-2.0]]))
     for strategy in ("S+S", "L+S", "L+M", "S+M", "M+M"):
-        assert np.array_equal(aggregate([[h]], strategy).value, h.value)
+        assert np.array_equal(_aggregate([h], strategy, 1).value, h.value)
 
 
 def test_sum_sum_equals_total_elementwise_sum():
     rng = np.random.default_rng(6)
-    seqs = [[ad.constant(rng.normal(size=(3, 1))) for _ in range(4)] for _ in range(2)]
-    out = aggregate(seqs, "S+S").value
-    expected = sum(h.value for seq in seqs for h in seq)
+    seqs = rng.normal(size=(2, 4, 3)).transpose(0, 2, 1)  # scale, then one (3,) draw per step
+    out = _aggregate([ad.constant(seq) for seq in seqs], "S+S", 1).value
+    expected = sum(seq[:, t:t + 1] for seq in seqs for t in range(4))
     assert np.allclose(out, expected, rtol=0, atol=1e-15)
 
 
 def test_mean_mean_two_scales():
-    a = [ad.constant(np.full((2, 1), 1.0)), ad.constant(np.full((2, 1), 3.0))]
-    b = [ad.constant(np.full((2, 1), 5.0))]
-    out = aggregate([a, b], "M+M").value
+    a = ad.constant([[1.0, 3.0], [1.0, 3.0]])
+    b = ad.constant(np.full((2, 1), 5.0))
+    out = _aggregate([a, b], "M+M", 1).value
     assert np.allclose(out, np.full((2, 1), (2.0 + 5.0) / 2), rtol=0, atol=1e-15)
 
 
 def test_last_then_sum_uses_final_states():
-    a = [ad.constant(np.full((2, 1), 1.0)), ad.constant(np.full((2, 1), 3.0))]
-    b = [ad.constant(np.full((2, 1), 5.0)), ad.constant(np.full((2, 1), -1.0))]
-    assert np.array_equal(aggregate([a, b], "L+S").value, np.full((2, 1), 2.0))
-
-
-def test_aggregate_rejects_unknown_strategy():
-    with pytest.raises(ConfigError, match="aggregation"):
-        aggregate([[ad.constant(np.zeros((2, 1)))]], "Q+Q")
+    a = ad.constant([[1.0, 3.0], [1.0, 3.0]])
+    b = ad.constant([[5.0, -1.0], [5.0, -1.0]])
+    assert np.array_equal(_aggregate([a, b], "L+S", 1).value, np.full((2, 1), 2.0))
 
 
 # -- prediction head --------------------------------------------------------------
@@ -370,13 +361,13 @@ def test_hidden_states_stay_in_input_hull():
     rng = np.random.default_rng(12)
     for trial in range(20):
         x = rng.normal(size=(3, 5))
-        gates = [ad.constant(rng.uniform(size=(3, 1))) for _ in range(5)]
-        hidden = dynamic_average_pool(ad.constant(x), gates)
-        for t, h in enumerate(hidden):
+        gates = ad.constant(rng.uniform(size=(5, 3)).T)  # one (3,) draw per step
+        hidden = _pool(ad.constant(x), gates, None, 1).value
+        for t in range(5):
             lo = np.minimum(0.0, x[:, : t + 1].min(axis=1))
             hi = np.maximum(0.0, x[:, : t + 1].max(axis=1))
-            assert np.all(h.value[:, 0] >= lo - 1e-12)
-            assert np.all(h.value[:, 0] <= hi + 1e-12)
+            assert np.all(hidden[:, t] >= lo - 1e-12)
+            assert np.all(hidden[:, t] <= hi + 1e-12)
 
 
 def test_forward_causality_across_scales_and_layers():
@@ -430,11 +421,10 @@ def test_conv_gate_gradients_when_the_filter_is_wider_than_the_sequence():
     x = ad.parameter(rng.normal(size=(3, 2)))
     filters = [ad.parameter(rng.normal(size=(3, 3))) for _ in range(4)]
     bias = ad.parameter(rng.normal(size=(3, 1)))
-    weights = [ad.constant(rng.normal(size=(3, 1))) for _ in range(2)]
+    weights = ad.constant(rng.normal(size=(2, 3)).T)  # one (3,) draw per step
 
     def build():
-        gates = conv_gates(x, filters, bias)
-        return ad.add(*(ad.sum_all(ad.mul(g, c)) for g, c in zip(gates, weights)))
+        return ad.sum_all(ad.mul(gate_matrix(x, filters, bias), weights))
 
     with ad.record():
         root = build()
@@ -606,4 +596,20 @@ def test_checkpoint_rejects_foreign_npz(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, values=np.zeros(3))
     with pytest.raises(CompatibilityError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("content", ["empty", "truncated", "text", "npy"])
+def test_checkpoint_rejects_a_file_that_is_not_an_npz(tmp_path, content):
+    path = tmp_path / "model.npz"
+    if content == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    elif content == "truncated":
+        save_checkpoint(path, small_store())
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+    else:
+        path.write_text("" if content == "empty" else "seed = 1\n")
+    with pytest.raises(CompatibilityError, match="not a model checkpoint"):
         load_checkpoint(path)
