@@ -15,11 +15,14 @@ to two inputs copies it for the second; disjoint views are taken as they
 are), and ``backward`` drops each adjoint once its record's step has run,
 so no adjoint is zero-filled and none outlives its use. Records whose
 adjoint is never created do not reach the root and are skipped. Leaf
-gradients keep their own buffers and accumulate with ``+=``, so running
-backward on two roots of the same tape sums their contributions (gradient
-linearity). An op that hands overlapping views of its adjoint to several
-inputs (``shifted_sum``) marks them read-only; a later contribution to
-such an adjoint makes a new array instead of writing through the view.
+gradients are buffers that persist across backward calls and accumulate
+with ``+=``, so running backward on two roots of the same tape sums their
+contributions (gradient linearity). A leaf's buffer may be a view into a
+larger array: a model's parameter store hands each parameter a view into
+its one flat gradient array, and clears them all with one ``fill``. An op
+that hands overlapping views of its adjoint to several inputs
+(``shifted_sum``) marks them read-only; a later contribution to such an
+adjoint makes a new array instead of writing through the view.
 
 Besides elementwise and gather ops, three ops work on whole sequences laid
 out as (m, L*B) matrices whose column t*B + b holds timestep t of sequence
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,8 +95,19 @@ def constant(value) -> Tensor:
     return Tensor(value, requires_grad=False)
 
 
-def parameter(value) -> Tensor:
-    return Tensor(value, requires_grad=True)
+def parameter(value, grad: np.ndarray | None = None) -> Tensor:
+    """A gradient-enabled leaf. `grad`, when given, is its gradient buffer:
+    a same-shape float64 array it accumulates into (say a view into a
+    parameter store's flat gradient array); else a new zero-filled one."""
+    if grad is None:
+        return Tensor(value, requires_grad=True)
+    t = Tensor(value)
+    if grad.shape != t.shape or grad.dtype != np.float64:
+        raise ValueError(f"gradient buffer {grad.dtype}{grad.shape} does not match value "
+                         f"float64{t.shape}")
+    t.requires_grad = True
+    t.grad = grad
+    return t
 
 
 class Tape:
@@ -195,13 +209,6 @@ def _scatter_add(target: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> N
     ordered = indices[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     target[ordered[starts]] += np.add.reduceat(rows[order], starts, axis=0)
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    """Reset the gradient buffer of every given tensor to zero."""
-    for p in params:
-        if p.grad is not None:
-            p.grad.fill(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,22 @@ class InteractionLog:
         missing = sorted({"sequences", "user_ids", "item_ids"} - data.keys())
         if missing:
             raise CompatibilityError(f"{path}: not a processed dataset (missing {missing})")
-        return cls(data["sequences"], data["user_ids"], data["item_ids"])
+        sequences, user_ids, item_ids = data["sequences"], data["user_ids"], data["item_ids"]
+        for key, ids in (("user_ids", user_ids), ("item_ids", item_ids)):
+            if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+                raise CompatibilityError(
+                    f"{path}: not a processed dataset ({key} is not a list of strings)")
+        if not isinstance(sequences, list) or len(sequences) != len(user_ids):
+            raise CompatibilityError(
+                f"{path}: not a processed dataset (sequences is not a list of one entry "
+                f"per user id)")
+        n = len(item_ids)
+        for seq in sequences:  # `type` rejects JSON true/false, which are ints to Python
+            if not (isinstance(seq, list) and all(type(i) is int and 1 <= i <= n for i in seq)):
+                raise CompatibilityError(
+                    f"{path}: not a processed dataset (a sequence is not a list of item ids "
+                    f"in 1..{n})")
+        return cls(sequences, user_ids, item_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ only the pooling recurrence runs step by step, inside `ad.gated_scan`.
 So a training step records one tape entry per stage, not one per
 timestep.
 
+Parameters are laid out for whole-model passes: a `ParameterStore` keeps
+every value in one flat float64 array and every gradient in another, and
+each parameter tensor's value and gradient are reshaped views into them.
+
 The head gathers each candidate's row on the tape. Off the tape, as in
 evaluation, it scores a catalogue small enough for the candidate count
 with one GEMM over every item instead (`predict_scores`).
@@ -107,8 +111,36 @@ class ModelConfig:
             raise ConfigError("empty scales require use_user_profile=true")
 
 
+def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int, bool]]:
+    """(name, shape, size, drawn) of every parameter, in storage order;
+    `drawn` tensors start from the initial normal draw, the rest at zero."""
+    d = config.latent_dim
+    items = config.num_items + 1
+    entries = [("item_embeddings", (items, d), items * d, True)]
+    if config.use_user_profile:
+        users = config.num_users + 1
+        entries.append(("user_embeddings", (users, d), users * d, True))
+    gates = ("forget", "output") if config.use_output_gate else ("forget",)
+    for w in config.scales:
+        for layer in range(config.num_layers):
+            for gate in gates:
+                entries += [(f"{gate}_w{w}_l{layer}_k{i}", (d, d), d * d, True)
+                            for i in range(w)]
+                entries.append((f"{gate}_bias_w{w}_l{layer}", (d, 1), d, False))
+    entries.append(("head_weights", (items, 2 * d), items * 2 * d, True))
+    entries.append(("head_bias", (items,), items, False))
+    return entries
+
+
 class ParameterStore:
     """Every trainable tensor for one model configuration.
+
+    The values live in one flat float64 array, `flat_values`, and the
+    gradients in one of the same size, `flat_grads`. Each parameter's
+    `value` and `grad` are C-contiguous reshaped views into them, laid end
+    to end in `named_parameters()` order, so whole-model passes (the Adam
+    step, zeroing the gradients, the divergence check, copying) run once
+    over the flat arrays instead of once per tensor.
 
     Row 0 of the item embedding table is the padding item: it stays
     all-zero and is excluded from optimizer updates. User ids are 1-based
@@ -118,37 +150,34 @@ class ParameterStore:
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
                  init_std: float = INIT_STD):
         self.config = config
-        d = config.latent_dim
-
-        def draw(shape):
-            if rng is None:
-                return np.zeros(shape)
-            return rng.normal(0.0, init_std, size=shape)
-
+        layout = _layout(config)
+        total = sum(size for _, _, size, _ in layout)
+        self.flat_values = np.zeros(total)
+        self.flat_grads = np.zeros(total)
         self._params: dict[str, Tensor] = {}
-        item = draw((config.num_items + 1, d))
-        item[0] = 0.0
-        self._add("item_embeddings", item)
+        runs: list[list[int]] = []  # [lo, hi) spans of consecutive drawn tensors
+        lo = 0
+        for name, shape, size, drawn in layout:
+            hi = lo + size
+            self._params[name] = ad.parameter(self.flat_values[lo:hi].reshape(shape),
+                                              self.flat_grads[lo:hi].reshape(shape))
+            if drawn:
+                if runs and runs[-1][1] == lo:
+                    runs[-1][1] = hi
+                else:
+                    runs.append([lo, hi])
+            lo = hi
+        if rng is not None:
+            # Drawn in place, in order. One draw over consecutive tensors
+            # yields the numbers of one draw per tensor, and rng.normal(0, s)
+            # is 0 + s*z, the bits of s*z (bar a z of -0.0, p ~ 2**-53).
+            for start, stop in runs:
+                rng.standard_normal(out=self.flat_values[start:stop])
+            self.flat_values *= init_std
+        self.item_embeddings.value[0] = 0.0
+        self.head_weights.value[0] = 0.0
         if config.use_user_profile:
-            user = draw((config.num_users + 1, d))
-            user[0] = 0.0
-            self._add("user_embeddings", user)
-        for w in config.scales:
-            for layer in range(config.num_layers):
-                for i in range(w):
-                    self._add(f"forget_w{w}_l{layer}_k{i}", draw((d, d)))
-                self._add(f"forget_bias_w{w}_l{layer}", np.zeros((d, 1)))
-                if config.use_output_gate:
-                    for i in range(w):
-                        self._add(f"output_w{w}_l{layer}_k{i}", draw((d, d)))
-                    self._add(f"output_bias_w{w}_l{layer}", np.zeros((d, 1)))
-        head = draw((config.num_items + 1, 2 * d))
-        head[0] = 0.0
-        self._add("head_weights", head)
-        self._add("head_bias", np.zeros(config.num_items + 1))
-
-    def _add(self, name: str, value: np.ndarray) -> None:
-        self._params[name] = ad.parameter(value)
+            self.user_embeddings.value[0] = 0.0
 
     # -- access ------------------------------------------------------------
 
@@ -186,7 +215,7 @@ class ParameterStore:
     # -- bookkeeping ---------------------------------------------------------
 
     def zero_grads(self) -> None:
-        ad.zero_grads(self._params.values())
+        self.flat_grads.fill(0.0)
 
     def clear_padding_grads(self) -> None:
         """Drop gradient flow into the reserved id-0 rows."""
@@ -197,9 +226,9 @@ class ParameterStore:
             self.user_embeddings.grad[0] = 0.0
 
     def copy(self) -> "ParameterStore":
+        """A store with its own arrays holding these values; zero gradients."""
         clone = ParameterStore(self.config)
-        for name, p in self._params.items():
-            np.copyto(clone._params[name].value, p.value)
+        np.copyto(clone.flat_values, self.flat_values)
         return clone
 
 
@@ -457,10 +486,16 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
     with bundle:
         if "__meta__" not in bundle:
             raise CompatibilityError(f"{path}: not a model checkpoint (missing metadata)")
-        meta = json.loads(str(bundle["__meta__"]))
-        if meta.get("format_version") != CHECKPOINT_VERSION:
+        try:
+            meta = json.loads(str(bundle["__meta__"]))
+        except ValueError:  # not JSON, or an entry numpy cannot read
+            meta = None
+        if not (isinstance(meta, dict) and "format_version" in meta
+                and isinstance(meta.get("config"), dict) and isinstance(meta.get("extra"), dict)):
+            raise CompatibilityError(f"{path}: not a model checkpoint (malformed metadata)")
+        if meta["format_version"] != CHECKPOINT_VERSION:
             raise CompatibilityError(
-                f"{path}: checkpoint format version {meta.get('format_version')} "
+                f"{path}: checkpoint format version {meta['format_version']} "
                 f"not supported (expected {CHECKPOINT_VERSION})"
             )
         stored = set(meta["config"])

@@ -9,7 +9,7 @@ from qrseq import autodiff as ad
 from qrseq import rng as rng_streams
 from qrseq.data import InteractionLog
 from qrseq.model import ModelConfig, ParameterStore, forward_batch, predict_scores
-from qrseq.training import bce_loss
+from qrseq.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, bce_loss
 
 
 def numeric_gradient(loss_fn, tensor: ad.Tensor, eps: float = 1e-5) -> np.ndarray:
@@ -72,6 +72,26 @@ def model_loss_case(config: ModelConfig, seed: int, batch: int = 3, init_std: fl
         return loss.item()
 
     return store, loss_fn, run_tape
+
+
+def reference_adam_step(store: ParameterStore, m: dict, v: dict, t: int, lr: float,
+                        l2: float) -> None:
+    """One Adam step as a loop over tensors, each with its own moment arrays
+    in `m` and `v` (by name): the oracle for `adam_step`'s flat pass.
+    `t` is the step number, from 1."""
+    store.clear_padding_grads()
+    correct1 = 1.0 - ADAM_BETA1 ** t
+    correct2 = 1.0 - ADAM_BETA2 ** t
+    for name, p in store.named_parameters().items():
+        g = p.grad
+        m[name] *= ADAM_BETA1
+        m[name] += (1.0 - ADAM_BETA1) * g
+        v[name] *= ADAM_BETA2
+        v[name] += (1.0 - ADAM_BETA2) * g * g
+        update = (m[name] / correct1) / (np.sqrt(v[name] / correct2) + ADAM_EPS)
+        if l2:
+            update = update + l2 * p.value
+        p.value -= lr * update
 
 
 def reference_forward(store: ParameterStore, item_ids, user_ids, candidate_ids) -> ad.Tensor:

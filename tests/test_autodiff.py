@@ -147,16 +147,16 @@ def test_backward_accumulation_is_linear():
     assert np.allclose(combined, xa.grad + xb.grad, rtol=0, atol=1e-15)
 
 
-def test_zero_grads_clears_and_preserves_values():
-    x = ad.parameter([2.0, 4.0])
+def test_parameter_accumulates_into_a_given_gradient_view():
+    flat = np.zeros(7)
+    x = ad.parameter([2.0, 4.0], grad=flat[2:4])
     with ad.record():
-        ad.backward(ad.sum_all(ad.mul(x, x)))
-    assert np.any(x.grad != 0)
-    ad.zero_grads([x])
-    assert np.array_equal(x.grad, [0.0, 0.0])
-    assert np.array_equal(x.value, [2.0, 4.0])
-    ad.zero_grads([x])  # idempotent
-    assert np.array_equal(x.grad, [0.0, 0.0])
+        loss = ad.sum_all(ad.mul(x, x))
+    ad.backward(loss)
+    assert x.grad.base is flat
+    assert np.array_equal(flat, [0.0, 0.0, 4.0, 8.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="gradient buffer"):
+        ad.parameter([2.0, 4.0], grad=flat[:3])
 
 
 def test_operations_are_deterministic():

@@ -236,8 +236,30 @@ def test_evaluate_incompatible_dataset_fails(trained, tmp_path, capsys):
     assert "items" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", ["not json\n", '{"format_version": 1}\n', "[1, 2]\n"],
-                         ids=["not-json", "missing-keys", "not-an-object"])
+def dataset_text(sequences, user_ids=("u1",), item_ids=("i1", "i2")) -> str:
+    """A processed dataset's JSON; tuples are written as lists."""
+    return json.dumps({"format_version": 1, "sequences": sequences,
+                       "user_ids": user_ids, "item_ids": item_ids}) + "\n"
+
+
+MALFORMED_DATASETS = {
+    "not-json": "not json\n",
+    "missing-keys": '{"format_version": 1}\n',
+    "not-an-object": "[1, 2]\n",
+    "sequences-not-a-list": dataset_text(5, user_ids=(), item_ids=()),
+    "sequence-not-a-list": dataset_text([5]),
+    "item-id-zero": dataset_text([[1, 0]]),
+    "item-id-past-the-catalogue": dataset_text([[1, 3]]),
+    "item-id-not-an-int": dataset_text([[1, 1.5]]),
+    "item-id-a-bool": dataset_text([[1, True]]),
+    "item-id-a-string": dataset_text([["1"]]),
+    "user-ids-not-strings": dataset_text([[1]], user_ids=[1]),
+    "item-ids-not-a-list": dataset_text([[1]], item_ids="i1"),
+    "fewer-user-ids-than-sequences": dataset_text([[1], [2]]),
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_DATASETS.values(), ids=MALFORMED_DATASETS.keys())
 def test_evaluate_malformed_dataset_exits_1(tmp_path, content, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(content)

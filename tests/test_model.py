@@ -109,6 +109,83 @@ def test_store_without_profile_has_no_user_table():
     assert store.user_embeddings is None
 
 
+def layout_store():
+    return small_store(scales=(1, 3), num_layers=2, use_output_gate=True, aggregation="S+S")
+
+
+def test_init_matches_one_normal_draw_per_tensor():
+    store = small_store(seed=3, init_std=0.2, scales=(2, 3), use_output_gate=True)
+    rng = rng_streams.stream(3, "init")
+    for name, p in store.named_parameters().items():
+        expected = np.zeros(p.shape) if "bias" in name else rng.normal(0.0, 0.2, size=p.shape)
+        if name in ("item_embeddings", "user_embeddings", "head_weights"):
+            expected[0] = 0.0
+        assert p.value.tobytes() == expected.tobytes(), name
+
+
+def test_parameters_are_views_tiling_the_flat_arrays_in_order():
+    store = layout_store()
+    for flat, attr in ((store.flat_values, "value"), (store.flat_grads, "grad")):
+        assert flat.ndim == 1 and flat.flags["C_CONTIGUOUS"]
+        lo = 0
+        for name, p in store.named_parameters().items():
+            view = getattr(p, attr)
+            assert view.flags["C_CONTIGUOUS"] and view.shape == p.shape, name
+            assert view.base is flat, name
+            start = (view.__array_interface__["data"][0]
+                     - flat.__array_interface__["data"][0]) // flat.itemsize
+            assert start == lo, name  # so views follow each other without overlap
+            lo += view.size
+        assert lo == flat.size
+    assert not np.shares_memory(store.flat_values, store.flat_grads)
+
+
+def test_zero_grads_clears_and_preserves_values():
+    store = layout_store()
+    before = store.flat_values.copy()
+    for p in store.named_parameters().values():
+        p.grad[...] = 1.5
+    assert np.all(store.flat_grads == 1.5)
+    store.zero_grads()
+    assert np.array_equal(store.flat_grads, np.zeros_like(store.flat_grads))
+    assert store.flat_values.tobytes() == before.tobytes()
+    store.zero_grads()  # idempotent
+    assert not store.flat_grads.any()
+
+
+def test_a_write_through_a_flat_value_view_changes_the_scores():
+    store = layout_store()
+    contexts = np.array([[3, 1, 4, 1], [5, 9, 2, 6]])
+    users = np.array([2, 4])
+    candidates = np.array([[7, 8], [10, 11]])
+    base, _ = forward_batch(store, contexts, users, candidates)
+    rows = {"item_embeddings": 9, "user_embeddings": 4, "head_weights": 11, "head_bias": 11}
+    for name, p in store.named_parameters().items():
+        flat = p.value.reshape(-1)
+        i = rows.get(name, 0) * (p.value.size // p.shape[0])
+        orig = flat[i]
+        flat[i] = orig + 0.5
+        bumped, _ = forward_batch(store, contexts, users, candidates)
+        flat[i] = orig
+        assert not np.array_equal(bumped.value, base.value), name
+    again, _ = forward_batch(store, contexts, users, candidates)
+    assert again.value.tobytes() == base.value.tobytes()
+
+
+def test_copy_owns_its_flat_arrays():
+    store = layout_store()
+    clone = store.copy()
+    assert clone.flat_values.tobytes() == store.flat_values.tobytes()
+    for flat in (clone.flat_values, clone.flat_grads):
+        assert not np.shares_memory(flat, store.flat_values)
+        assert not np.shares_memory(flat, store.flat_grads)
+    for name, p in clone.named_parameters().items():
+        assert np.shares_memory(p.value, clone.flat_values), name
+        assert np.shares_memory(p.grad, clone.flat_grads), name
+    clone.head_bias.value[1] += 1.0
+    assert clone.head_bias.value[1] != store.head_bias.value[1]
+
+
 # -- embedding ----------------------------------------------------------------
 
 
@@ -563,6 +640,19 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         assert loaded.named_parameters()[name].value.tobytes() == p.value.tobytes()
 
 
+def test_loaded_checkpoint_owns_its_flat_arrays(tmp_path):
+    store = layout_store()
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, store)
+    first, _ = load_checkpoint(path)
+    second, _ = load_checkpoint(path)
+    assert first.flat_values.tobytes() == store.flat_values.tobytes()
+    assert not np.shares_memory(first.flat_values, second.flat_values)
+    for name, p in first.named_parameters().items():
+        assert np.shares_memory(p.value, first.flat_values), name
+        assert np.shares_memory(p.grad, first.flat_grads), name
+
+
 def test_checkpoint_metadata_format_is_pinned(tmp_path):
     cfg = small_config(latent_dim=2, scales=(3, 1), num_layers=2, use_output_gate=True,
                        use_user_profile=False, aggregation="L+M", dropout=0.25)
@@ -599,10 +689,27 @@ def test_checkpoint_rejects_foreign_npz(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("content", ["empty", "truncated", "text", "npy"])
+BAD_METADATA = {
+    "meta-not-json": "{not json",
+    "meta-not-an-object": "[1, 2]",
+    "meta-no-version": '{"config": {}, "extra": {}}',
+    "meta-no-config": '{"format_version": 1, "extra": {}}',
+    "meta-config-not-an-object": '{"format_version": 1, "config": 5, "extra": {}}',
+    "meta-no-extra": '{"format_version": 1, "config": {}}',
+    "meta-extra-not-an-object": '{"format_version": 1, "config": {}, "extra": []}',
+}
+
+
+@pytest.mark.parametrize("content", ["empty", "truncated", "text", "npy", *BAD_METADATA])
 def test_checkpoint_rejects_a_file_that_is_not_an_npz(tmp_path, content):
     path = tmp_path / "model.npz"
-    if content == "npy":
+    if content in BAD_METADATA:
+        save_checkpoint(path, small_store())
+        with np.load(path) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+        arrays["__meta__"] = np.array(BAD_METADATA[content])
+        np.savez(path, **arrays)
+    elif content == "npy":
         with open(path, "wb") as fh:
             np.save(fh, np.zeros(3))
     elif content == "truncated":

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -11,12 +12,13 @@ import pytest
 
 from qrseq import autodiff as ad
 from qrseq import rng as rng_streams
+from qrseq import training
 from qrseq.data import make_splits
 from qrseq.errors import ConfigError, TrainingDivergedError
 from qrseq.evaluation import EvalConfig
 from qrseq.model import ModelConfig, ParameterStore
 from qrseq.training import AdamState, TrainConfig, adam_step, bce_loss, fit, train_epoch
-from helpers import chain_log
+from helpers import chain_log, reference_adam_step
 
 LN2 = math.log(2.0)
 
@@ -130,6 +132,52 @@ def test_adam_is_deterministic():
             adam_step(store, state, lr=0.01, l2=1e-4)
         results.append(store.head_weights.value.tobytes())
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("block", [training.ADAM_BLOCK, 7], ids=["default-block", "block-7"])
+def test_adam_step_matches_the_per_tensor_loop_bit_for_bit(monkeypatch, block):
+    # blocks of 7 split tensors mid-row and leave a short last block
+    monkeypatch.setattr(training, "ADAM_BLOCK", block)
+    cfg = ModelConfig(num_items=9, num_users=5, latent_dim=3, seq_len=4, scales=(1, 3),
+                      num_layers=2, use_output_gate=True, use_user_profile=True,
+                      aggregation="L+M", dropout=0.0)
+    store = ParameterStore(cfg, rng_streams.stream(2, "init"), init_std=0.3)
+    oracle = store.copy()
+    state = AdamState(store)
+    m = {n: np.zeros_like(p.value) for n, p in oracle.named_parameters().items()}
+    v = {n: np.zeros_like(p.value) for n, p in oracle.named_parameters().items()}
+    draws = np.random.default_rng(4)
+    for t in range(1, 6):
+        for name, p in store.named_parameters().items():
+            g = draws.normal(0.0, 10.0 ** (t - 3), size=p.shape)  # padding rows too
+            p.grad[...] = g
+            oracle.named_parameters()[name].grad[...] = g
+        adam_step(store, state, lr=0.02, l2=0.03)
+        reference_adam_step(oracle, m, v, t, lr=0.02, l2=0.03)
+    assert state.step_count == 5
+    assert store.flat_values.tobytes() == oracle.flat_values.tobytes()
+    offsets = np.cumsum([0] + [p.value.size for p in store.named_parameters().values()])
+    for (name, p), lo in zip(store.named_parameters().items(), offsets):
+        assert state.m[lo:lo + p.value.size].tobytes() == m[name].tobytes(), name
+        assert state.v[lo:lo + p.value.size].tobytes() == v[name].tobytes(), name
+
+
+def test_adam_temporaries_do_not_grow_with_the_model(monkeypatch):
+    monkeypatch.setattr(training, "ADAM_BLOCK", 512)
+    store = ParameterStore(ModelConfig(num_items=300, num_users=2, latent_dim=8, seq_len=2,
+                                       dropout=0.0))
+    state = AdamState(store)
+    bound = 6 * 512 * store.flat_values.itemsize
+    assert store.flat_values.nbytes > 2 * bound
+    store.flat_grads[:] = 0.5
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        adam_step(store, state, lr=0.01, l2=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < bound
 
 
 # -- train_epoch -------------------------------------------------------------------
