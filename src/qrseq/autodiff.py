@@ -9,20 +9,20 @@ d(root)/d(leaf) into every gradient-enabled leaf with ``+=``.
 
 Adjoints of intermediate nodes are created lazily: an intermediate
 tensor's ``grad`` is ``None`` until its first contribution, which it takes
-as its adjoint, and later contributions add into that array. Each adjoint
-array is held by one tensor only (an op that passes its upstream adjoint
-to two inputs copies it for the second; disjoint views are taken as they
-are), and ``backward`` drops each adjoint once its record's step has run,
-so no adjoint is zero-filled and none outlives its use. Records whose
-adjoint is never created do not reach the root and are skipped. Leaf
-gradients are buffers that persist across backward calls and accumulate
-with ``+=``, so running backward on two roots of the same tape sums their
-contributions (gradient linearity). A leaf's buffer may be a view into a
-larger array: a model's parameter store hands each parameter a view into
-its one flat gradient array, and clears them all with one ``fill``. An op
-that hands overlapping views of its adjoint to several inputs
-(``shifted_sum``) marks them read-only; a later contribution to such an
-adjoint makes a new array instead of writing through the view.
+as its adjoint, and ``backward`` drops each adjoint once its record's step
+has run, so no adjoint is zero-filled and none outlives its use. Records
+whose adjoint is never created do not reach the root and are skipped.
+Leaf gradients are buffers made by ``parameter()``, often views into a
+parameter store's one flat gradient array; they persist across backward
+calls and accumulate with ``+=``, so backward on two roots of one tape
+sums their contributions (gradient linearity).
+
+One rule keeps adjoints from aliasing: ``backward`` makes a record's
+upstream adjoint ``g`` read-only before its step runs. The step may hand
+``g`` and views of it to any number of inputs; an array it computes goes
+to one input, which may write into it. A later contribution to a
+read-only adjoint makes a new array, and a step that writes into ``g``
+fails with numpy's read-only ``ValueError``.
 
 Besides elementwise and gather ops, three ops work on whole sequences laid
 out as (m, L*B) matrices whose column t*B + b holds timestep t of sequence
@@ -68,13 +68,13 @@ class Tensor:
 
     __slots__ = ("value", "grad", "requires_grad", "tape")
 
-    def __init__(self, value, requires_grad: bool = False):
+    def __init__(self, value):
         arr = np.asarray(value, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:  # ascontiguousarray would promote 0-d to 1-d
             arr = np.ascontiguousarray(arr)
         self.value = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.value) if self.requires_grad else None
+        self.requires_grad = False
+        self.grad: np.ndarray | None = None
         self.tape: Tape | None = None
 
     @property
@@ -92,17 +92,17 @@ class Tensor:
 
 
 def constant(value) -> Tensor:
-    return Tensor(value, requires_grad=False)
+    return Tensor(value)
 
 
 def parameter(value, grad: np.ndarray | None = None) -> Tensor:
     """A gradient-enabled leaf. `grad`, when given, is its gradient buffer:
     a same-shape float64 array it accumulates into (say a view into a
     parameter store's flat gradient array); else a new zero-filled one."""
-    if grad is None:
-        return Tensor(value, requires_grad=True)
     t = Tensor(value)
-    if grad.shape != t.shape or grad.dtype != np.float64:
+    if grad is None:
+        grad = np.zeros_like(t.value)
+    elif grad.shape != t.shape or grad.dtype != np.float64:
         raise ValueError(f"gradient buffer {grad.dtype}{grad.shape} does not match value "
                          f"float64{t.shape}")
     t.requires_grad = True
@@ -167,6 +167,7 @@ def backward(root: Tensor) -> None:
     root.grad = np.ones_like(root.value)
     for out, step in reversed(tape.records):
         if out.grad is not None:
+            out.grad.flags.writeable = False  # so the step may hand it to any inputs
             step(out.grad)
             out.grad = None
 
@@ -174,21 +175,21 @@ def backward(root: Tensor) -> None:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     """Add a contribution into `t`'s adjoint; the first one becomes the adjoint.
 
-    A taken `g` must not be written through by any other tensor: it is
-    either held by `t` alone, a view disjoint from other holders' or a
-    read-only view.
+    `g` is the step's read-only upstream adjoint or a view of it, which
+    other inputs may share, or an array computed for `t` alone. Only a
+    writable adjoint, held by `t` alone, is added into in place.
     """
     if t.grad is None:
         t.grad = g
     elif t.grad.flags.writeable:
         t.grad += g
-    else:  # a read-only view other adjoints share
+    else:
         t.grad = t.grad + g
 
 
 def _adjoint(t: Tensor) -> np.ndarray:
     """`t`'s adjoint for an in-place (scatter) update: zero-filled on first
-    use, copied first when it is a read-only view other adjoints share."""
+    use, copied first when it is read-only (shared with other adjoints)."""
     if t.grad is None:
         t.grad = np.zeros_like(t.value)
     elif not t.grad.flags.writeable:
@@ -250,7 +251,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, g)
         if b.requires_grad:
-            _accumulate(b, g.copy() if a.grad is g else g)  # one holder per adjoint
+            _accumulate(b, g)
 
     return _track(out, (a, b), step)
 
@@ -290,10 +291,7 @@ def one_minus(a: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            if a.grad is not None and a.grad.flags.writeable:
-                a.grad -= g
-            else:
-                _accumulate(a, -g)
+            _accumulate(a, -g)
 
     return _track(out, (a,), step)
 
@@ -527,9 +525,7 @@ def shifted_sum(terms: Sequence[Tensor], offsets: Sequence[int]) -> Tensor:
     def step(g):
         for t, o in zip(terms, offsets):
             if t.requires_grad:
-                view = g[:, o:]  # overlaps the other terms' views
-                view.flags.writeable = False
-                _accumulate(t, view)
+                _accumulate(t, g[:, o:])
 
     return _track(out, terms, step)
 

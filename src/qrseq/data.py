@@ -237,17 +237,11 @@ def preprocess(records: list[RawInteraction], min_rating: float = 3,
         raise EmptyDatasetError(
             f"no users with at least {min_interactions} interactions of rating >= {min_rating}"
         )
-    user_order: list[str] = []
-    seen_users = set()
-    for r in kept:
-        if r.user not in seen_users and len(by_user[r.user]) >= min_interactions:
-            seen_users.add(r.user)
-            user_order.append(r.user)
 
     item_map: dict[str, int] = {}
     item_order: list[str] = []
     sequences: list[list[int]] = []
-    for user in user_order:
+    for user in surviving:
         rows = sorted(by_user[user], key=lambda r: r.timestamp)
         seq = []
         for r in rows:
@@ -259,7 +253,7 @@ def preprocess(records: list[RawInteraction], min_rating: float = 3,
             seq.append(internal)
         sequences.append(seq)
 
-    return InteractionLog(sequences, user_order, item_order)
+    return InteractionLog(sequences, surviving, item_order)
 
 
 # ---------------------------------------------------------------------------

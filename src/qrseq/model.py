@@ -241,11 +241,6 @@ def _embed(store: ParameterStore, item_ids: np.ndarray) -> Tensor:
     return ad.transpose(ad.take_rows(store.item_embeddings, item_ids.T.ravel()))
 
 
-def _blocks(values: np.ndarray, batch: int) -> list[np.ndarray]:
-    """Per-timestep (d, B) views of a (d, L*B) array."""
-    return [values[:, lo:lo + batch] for lo in range(0, values.shape[1], batch)]
-
-
 def _shifted_inputs(x: Tensor, batch: int, width: int) -> list[Tensor]:
     """x and its prefixes without the last k timesteps, k = 1..width-1:
     entry k holds the inputs a tap k steps back reads."""
@@ -348,12 +343,12 @@ def predict_scores(o: Tensor, user_ids, store: ParameterStore, candidate_ids) ->
 
 @dataclass
 class ScaleTrace:
-    """Values recorded for one scale: indexed [layer][timestep], each a (d, B)
-    view into the layer's (d, L*B) value."""
+    """Values recorded for one scale, one entry per layer: the graph's own
+    (d, L*B) array of that layer's gate or hidden state."""
 
-    forget_gates: list[list[np.ndarray]] = field(default_factory=list)
-    hidden: list[list[np.ndarray]] = field(default_factory=list)
-    output_gates: list[list[np.ndarray]] | None = None
+    forget_gates: list[np.ndarray] = field(default_factory=list)
+    hidden: list[np.ndarray] = field(default_factory=list)
+    output_gates: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -413,10 +408,10 @@ def forward_batch(store: ParameterStore, item_ids, user_ids, candidate_ids,
                         shifted, store.output_filters(w, layer), store.output_bias(w, layer),
                         batch,
                     )
-                    strace.output_gates.append(_blocks(output.value, batch))
+                    strace.output_gates.append(output.value)
                 hidden = _pool(shifted[0], forget, output, batch)
-                strace.forget_gates.append(_blocks(forget.value, batch))
-                strace.hidden.append(_blocks(hidden.value, batch))
+                strace.forget_gates.append(forget.value)
+                strace.hidden.append(hidden.value)
             hidden_seqs.append(hidden)
 
         combined = _aggregate(hidden_seqs, config.aggregation, batch)
@@ -441,14 +436,13 @@ class ModelScorer:
         self.store = store
 
     def score_batch(self, user_ids, contexts, candidate_ids) -> np.ndarray:
-        users = np.asarray(user_ids, dtype=np.intp)
-        ctx = np.asarray(contexts, dtype=np.intp)
         cands = np.asarray(candidate_ids, dtype=np.intp)
         out = np.empty(cands.shape, dtype=np.float64)
-        for lo in range(0, len(users), SCORE_CHUNK):
+        for lo in range(0, len(cands), SCORE_CHUNK):  # forward_batch converts each id chunk
             hi = lo + SCORE_CHUNK
-            scores, _ = forward_batch(self.store, ctx[lo:hi], users[lo:hi], cands[lo:hi])
-            out[lo:hi] = scores.value
+            # keep no name for the trace: its arrays are freed before the next chunk
+            out[lo:hi] = forward_batch(self.store, contexts[lo:hi], user_ids[lo:hi],
+                                       cands[lo:hi])[0].value
         return out
 
 
@@ -475,15 +469,25 @@ def save_checkpoint(path, store: ParameterStore, extra: dict | None = None) -> N
         np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
+def _config_value_ok(name: str, value) -> bool:
+    """Whether a stored config value has the JSON type `save_checkpoint` writes."""
+    if name == "scales":
+        return isinstance(value, list) and all(_config_value_ok("scale", w) for w in value)
+    kind = {"use_output_gate": bool, "use_user_profile": bool, "aggregation": str,
+            "dropout": (int, float)}.get(name, int)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def load_checkpoint(path) -> tuple[ParameterStore, dict]:
     """Load a checkpoint; returns (store, extra-metadata)."""
-    try:
-        bundle = np.load(path, allow_pickle=False)
-    except (EOFError, ValueError, zipfile.BadZipFile):  # empty, not numpy, or a broken zip
-        bundle = None
-    if not isinstance(bundle, np.lib.npyio.NpzFile):  # also a one-array .npy
-        raise CompatibilityError(f"{path}: not a model checkpoint (unreadable as .npz)")
-    with bundle:
+    # numpy leaves a file it cannot read open; closing ours releases the bundle too
+    with open(path, "rb") as fh:
+        try:
+            bundle = np.load(fh, allow_pickle=False)
+        except (EOFError, ValueError, zipfile.BadZipFile):  # empty, not numpy, or a broken zip
+            bundle = None
+        if not isinstance(bundle, np.lib.npyio.NpzFile):  # also a one-array .npy
+            raise CompatibilityError(f"{path}: not a model checkpoint (unreadable as .npz)")
         if "__meta__" not in bundle:
             raise CompatibilityError(f"{path}: not a model checkpoint (missing metadata)")
         try:
@@ -498,14 +502,19 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
                 f"{path}: checkpoint format version {meta['format_version']} "
                 f"not supported (expected {CHECKPOINT_VERSION})"
             )
-        stored = set(meta["config"])
+        stored = meta["config"]
         known = {f.name for f in fields(ModelConfig)}
-        if stored != known:
+        wrong = sorted(k for k in known & stored.keys() if not _config_value_ok(k, stored[k]))
+        if stored.keys() != known or wrong:
             raise CompatibilityError(
-                f"{path}: checkpoint config keys do not match this version; "
-                f"unknown {sorted(stored - known)}, missing {sorted(known - stored)}"
+                f"{path}: not a model checkpoint of this version; config keys unknown "
+                f"{sorted(stored.keys() - known)}, missing {sorted(known - stored.keys())}, "
+                f"of the wrong type {wrong}"
             )
-        config = ModelConfig(**meta["config"])
+        try:
+            config = ModelConfig(**stored)
+        except ConfigError as exc:
+            raise CompatibilityError(f"{path}: not a model checkpoint ({exc})") from exc
         store = ParameterStore(config)
         expected = set(store.named_parameters())
         found = set(bundle.files) - {"__meta__"}

@@ -134,9 +134,11 @@ def test_criterion_3_causality():
             for layer in range(len(stale.forget_gates)):
                 for t in range(t_perturb):
                     same_gate = np.array_equal(
-                        stale.forget_gates[layer][t], alt.forget_gates[layer][t]
+                        stale.forget_gates[layer][:, t], alt.forget_gates[layer][:, t]
                     )
-                    same_hidden = np.array_equal(stale.hidden[layer][t], alt.hidden[layer][t])
+                    same_hidden = np.array_equal(
+                        stale.hidden[layer][:, t], alt.hidden[layer][:, t]
+                    )
                     if not (same_gate and same_hidden):
                         violations += 1
         cases += 1

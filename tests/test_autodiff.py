@@ -159,6 +159,33 @@ def test_parameter_accumulates_into_a_given_gradient_view():
         ad.parameter([2.0, 4.0], grad=flat[:3])
 
 
+def test_parameter_makes_a_zero_filled_writable_gradient_buffer():
+    value = np.arange(6.0).reshape(2, 3)
+    p = ad.parameter(value)
+    assert p.requires_grad and p.grad.shape == (2, 3) and p.grad.dtype == np.float64
+    assert p.grad.flags.writeable and not p.grad.any()
+    assert not np.shares_memory(p.grad, p.value)
+    t = ad.Tensor(value)
+    assert not t.requires_grad and t.grad is None
+
+
+def test_a_step_that_writes_into_its_upstream_adjoint_fails():
+    # g may be shared with other inputs, so backward hands it over read-only
+    p = ad.parameter([1.0, 2.0])
+    q = ad.parameter([3.0, 4.0])
+
+    def step(g):
+        ad._accumulate(p, g)
+        g *= 2.0  # not the step's to write: other inputs may hold it
+        ad._accumulate(q, g)
+
+    with ad.record():
+        out = ad._track(ad.Tensor(p.value + q.value), (p, q), step)
+        root = ad.sum_all(ad.mul(out, out))
+    with pytest.raises(ValueError, match="read-only"):
+        ad.backward(root)
+
+
 def test_operations_are_deterministic():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(4, 5))
@@ -260,7 +287,7 @@ def test_random_composite_graphs_match_finite_differences():
             assert relative_errors(p.grad, numeric).max() < 1e-6
 
 
-# -- lazily created adjoints: one holder per array, freed after use ----------------
+# -- lazily created adjoints: shared read-only, freed after use -------------------
 
 
 def test_add_of_an_intermediate_to_itself():

@@ -226,6 +226,17 @@ def test_evaluate_checkpoint_with_unknown_config_key_fails(trained, small_datase
     assert err.startswith("error: ") and "unknown ['window']" in err
 
 
+@pytest.mark.parametrize("value", [{"latent_dim": "x"}, {"latent_dim": 0}, {"aggregation": 3}],
+                         ids=["wrong-type", "out-of-range", "wrong-type-not-a-choice"])
+def test_evaluate_checkpoint_with_a_bad_config_value_exits_1(trained, small_dataset, capsys,
+                                                              value):
+    path = trained / "checkpoint.npz"
+    rewrite_config_keys(path, add=value)
+    code = run(["evaluate", "--checkpoint", path, "--data", small_dataset])
+    assert code == 1
+    assert "not a model checkpoint" in capsys.readouterr().err
+
+
 def test_evaluate_incompatible_dataset_fails(trained, tmp_path, capsys):
     other_raw = tmp_path / "other.csv"
     write_interactions_csv(other_raw, sequences=[[f"x{k}" for k in range(11)]] * 4)

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from qrseq import autodiff as ad
+from qrseq import model
 from qrseq import rng as rng_streams
 from qrseq.errors import CompatibilityError, ConfigError
 from qrseq.evaluation import target_ranks
@@ -397,6 +399,7 @@ def test_single_scale_variant_runs():
     scores, trace = forward_batch(store, [[1, 2, 3, 4]], [1], [[5, 6]])
     assert scores.value.shape == (1, 2)
     assert list(trace.scales) == [1]
+    assert [h.shape for h in trace.scales[1].hidden] == [(3, 4)]
 
 
 def test_profile_only_variant_scores_ignore_context():
@@ -428,9 +431,8 @@ def test_trace_gates_strictly_inside_unit_interval():
     store = small_store(seed=3, use_output_gate=True, num_layers=2)
     _, trace = forward_batch(store, [[0, 1, 2, 3]], [1], [[5]])
     for stale in trace.scales.values():
-        for layer in stale.forget_gates + (stale.output_gates or []):
-            for g in layer:
-                assert np.all(g > 0.0) and np.all(g < 1.0)
+        for g in stale.forget_gates + (stale.output_gates or []):
+            assert np.all(g > 0.0) and np.all(g < 1.0)
 
 
 def test_hidden_states_stay_in_input_hull():
@@ -460,9 +462,9 @@ def test_forward_causality_across_scales_and_layers():
             for layer in range(len(stale.forget_gates)):
                 for t in range(t_perturb):
                     assert np.array_equal(
-                        stale.forget_gates[layer][t], other.forget_gates[layer][t]
+                        stale.forget_gates[layer][:, t], other.forget_gates[layer][:, t]
                     )
-                    assert np.array_equal(stale.hidden[layer][t], other.hidden[layer][t])
+                    assert np.array_equal(stale.hidden[layer][:, t], other.hidden[layer][:, t])
 
 
 def test_stacked_layers_change_the_output():
@@ -569,15 +571,38 @@ def test_training_step_records_one_entry_per_stage():
     assert counts[0] == counts[1] <= 90
 
 
-def test_trace_holds_views_of_each_layers_values():
+def test_trace_holds_the_graphs_own_arrays():
     store = small_store(seed=3, use_output_gate=True, num_layers=2)
-    _, trace = forward_batch(store, [[1, 2, 3, 4], [4, 3, 2, 0]], [1, 2], [[5], [6]])
+    with ad.record() as tape:
+        _, trace = forward_batch(store, [[1, 2, 3, 4], [4, 3, 2, 0]], [1, 2], [[5], [6]])
+    values = [out.value for out, _ in tape.records]
     for stale in trace.scales.values():
-        for layer in stale.forget_gates + stale.hidden + stale.output_gates:
-            assert len(layer) == 4
-            assert all(step.shape == (3, 2) for step in layer)
-            assert layer[0].base is not None
-            assert all(step.base is layer[0].base for step in layer)
+        for arrays in (stale.forget_gates, stale.hidden, stale.output_gates):
+            assert len(arrays) == 2  # one (d, L*B) array per layer
+            for a in arrays:
+                assert a.shape == (3, 8)
+                assert any(a is v for v in values)
+    tape.records.clear()
+
+
+def test_model_scorer_frees_each_chunks_trace_before_the_next(monkeypatch):
+    store = small_store(seed=5, use_output_gate=True)
+    traces: list[weakref.ref] = []
+    alive_at_call: list[int] = []
+    real = model.forward_batch
+
+    def tracked(*args, **kwargs):
+        alive_at_call.append(sum(ref() is not None for ref in traces))
+        scores, trace = real(*args, **kwargs)
+        traces.append(weakref.ref(trace))
+        return scores, trace
+
+    monkeypatch.setattr(model, "forward_batch", tracked)
+    n = 2 * SCORE_CHUNK + 1
+    rng = np.random.default_rng(5)
+    ModelScorer(store).score_batch(rng.integers(1, 5, size=n), rng.integers(0, 13, size=(n, 4)),
+                                   rng.integers(1, 13, size=(n, 3)))
+    assert alive_at_call == [0, 0, 0]
 
 
 # -- evaluation scoring --------------------------------------------------------------
@@ -672,12 +697,18 @@ def test_checkpoint_metadata_format_is_pinned(tmp_path):
 @pytest.mark.parametrize("drop, add, named", [
     ((), {"window": 3}, "unknown ['window']"),
     (("dropout", "aggregation"), None, "missing ['aggregation', 'dropout']"),
-], ids=["unknown", "missing"])
+    ((), {"latent_dim": "x"}, "wrong type ['latent_dim']"),
+    ((), {"latent_dim": 4.5}, "wrong type ['latent_dim']"),
+    ((), {"scales": 5}, "wrong type ['scales']"),
+    ((), {"dropout": "0.5", "aggregation": 3}, "wrong type ['aggregation', 'dropout']"),
+    ((), {"latent_dim": 0}, "latent_dim must be positive"),
+], ids=["unknown", "missing", "latent-dim-str", "latent-dim-float", "scales-int",
+        "dropout-str-aggregation-int", "latent-dim-zero"])
 def test_checkpoint_config_keys_must_match(tmp_path, drop, add, named):
     path = tmp_path / "model.npz"
     save_checkpoint(path, small_store(), extra={"seed": 1})
     rewrite_config_keys(path, drop=drop, add=add)
-    with pytest.raises(CompatibilityError) as err:
+    with pytest.raises(CompatibilityError, match="not a model checkpoint") as err:
         load_checkpoint(path)
     assert named in str(err.value)
 
