@@ -11,8 +11,9 @@ import argparse
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import atomic
@@ -43,52 +44,31 @@ def _parse_scales(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-# config key -> (caster, section); sections group keys onto the dataclasses
-CONFIG_KEYS = {
-    "seed": (int, "run"),
-    "latent_dim": (int, "model"),
-    "seq_len": (int, "model"),
-    "scales": (_parse_scales, "model"),
-    "num_layers": (int, "model"),
-    "use_output_gate": (_parse_bool, "model"),
-    "use_user_profile": (_parse_bool, "model"),
-    "aggregation": (str, "model"),
-    "dropout": (float, "model"),
-    "lr": (float, "train"),
-    "batch_size": (int, "train"),
-    "l2": (float, "train"),
-    "negatives_per_target": (int, "train"),
-    "base_epochs": (int, "train"),
-    "patience": (int, "train"),
-    "max_epochs": (int, "train"),
-    "eval_num_negatives": (int, "eval"),
-    "eval_k": (int, "eval"),
-}
+def _config_keys() -> dict:
+    """config key -> (caster, section), from the config dataclasses' field
+    annotations; sections group keys onto the dataclasses."""
+    casters = {int: int, float: float, bool: _parse_bool, str: str,
+               tuple[int, ...] | None: _parse_scales}
+    keys = {"seed": (casters[typing.get_type_hints(TrainConfig)["seed"]], "run")}
+    for section, cls, prefix in (("model", ModelConfig, ""), ("train", TrainConfig, ""),
+                                 ("eval", EvalConfig, "eval_")):
+        for name, kind in typing.get_type_hints(cls).items():
+            if name not in ("num_items", "num_users", "seed"):
+                keys[prefix + name] = (casters[kind], section)
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
 
 
 @dataclass
 class RunConfig:
-    seed: int
-    model_kwargs: dict
-    train_kwargs: dict
-    eval_kwargs: dict
+    """A run's validated settings; `model` has placeholder entity counts."""
+
+    model: ModelConfig
+    train: TrainConfig
+    eval: EvalConfig
     raw: dict[str, str]
-
-    def model_config(self, num_items: int, num_users: int) -> ModelConfig:
-        return ModelConfig(num_items=num_items, num_users=num_users, **self.model_kwargs)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self.seed, **self.train_kwargs)
-
-    def eval_config(self) -> EvalConfig:
-        kwargs = {k.removeprefix("eval_"): v for k, v in self.eval_kwargs.items()}
-        return EvalConfig(seed=self.seed, **kwargs)
-
-    def validate(self) -> None:
-        """Trigger full field validation before any data is touched."""
-        self.model_config(num_items=1, num_users=1)
-        self.train_config()
-        self.eval_config()
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -107,7 +87,8 @@ def load_config_file(path) -> dict[str, str]:
 
 def resolve_run_config(file_values: dict[str, str] | None,
                        overrides: list[str] | None) -> RunConfig:
-    """Merge config file and --set overrides into typed run settings."""
+    """Merge config file and --set overrides into typed run settings,
+    validated in full before any data is touched."""
     raw: dict[str, str] = dict(file_values or {})
     for item in overrides or []:
         if "=" not in item:
@@ -121,16 +102,16 @@ def resolve_run_config(file_values: dict[str, str] | None,
             raise ConfigError(f"unknown config field {key!r}")
         caster, section = CONFIG_KEYS[key]
         try:
-            sections[section][key] = caster(text)
+            sections[section][key.removeprefix("eval_")] = caster(text)
         except ValueError as exc:
             raise ConfigError(f"config field {key!r}: {exc}") from exc
     if "seed" not in sections["run"]:
         raise ConfigError("config field 'seed' is required (no wall-clock default)")
+    seed = sections["run"]["seed"]
     return RunConfig(
-        seed=sections["run"]["seed"],
-        model_kwargs=sections["model"],
-        train_kwargs=sections["train"],
-        eval_kwargs=sections["eval"],
+        model=ModelConfig(num_items=1, num_users=1, **sections["model"]),
+        train=TrainConfig(seed=seed, **sections["train"]),
+        eval=EvalConfig(seed=seed, **sections["eval"]),
         raw=raw,
     )
 
@@ -180,9 +161,8 @@ def cmd_preprocess(args) -> int:
 def _run_training(data_path: str, run_cfg: RunConfig, out_dir: Path) -> dict:
     """Shared train pipeline; returns the test-report dict it wrote."""
     log = InteractionLog.load(_require_file(data_path, "processed dataset"))
-    model_cfg = run_cfg.model_config(log.item_count, log.user_count)
-    train_cfg = run_cfg.train_config()
-    eval_cfg = run_cfg.eval_config()
+    model_cfg = replace(run_cfg.model, num_items=log.item_count, num_users=log.user_count)
+    train_cfg, eval_cfg = run_cfg.train, run_cfg.eval
     splits = make_splits(log, model_cfg.seq_len)
 
     result: FitResult = fit(
@@ -197,7 +177,7 @@ def _run_training(data_path: str, run_cfg: RunConfig, out_dir: Path) -> dict:
         out_dir / "checkpoint.npz",
         result.store,
         extra={
-            "seed": run_cfg.seed,
+            "seed": train_cfg.seed,
             "best_epoch": result.best_epoch,
             "eval_num_negatives": eval_cfg.num_negatives,
             "eval_k": eval_cfg.k,
@@ -214,7 +194,7 @@ def _run_training(data_path: str, run_cfg: RunConfig, out_dir: Path) -> dict:
     _write_json(out_dir / "split_manifest.json", {
         "format_version": MANIFEST_VERSION,
         "seq_len": splits.seq_len,
-        "seed": run_cfg.seed,
+        "seed": train_cfg.seed,
         "users": log.user_count,
         "items": log.item_count,
         "train_windows": int(len(splits.train_targets)),
@@ -235,7 +215,6 @@ def _run_training(data_path: str, run_cfg: RunConfig, out_dir: Path) -> dict:
 def cmd_train(args) -> int:
     file_values = load_config_file(_require_file(args.config, "config file")) if args.config else {}
     run_cfg = resolve_run_config(file_values, args.set)
-    run_cfg.validate()  # fail fast, before touching data
     _require_file(args.data, "processed dataset")
     out_dir = _prepare_out_dir(args.out, args.force)
     report = _run_training(args.data, run_cfg, out_dir)
@@ -247,12 +226,11 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     log = InteractionLog.load(_require_file(args.data, "processed dataset"))
-    extra: dict = {}
     if args.baseline == "poprec":
         if args.seed is None:
             raise ConfigError("--seed is required when evaluating the poprec baseline")
         scorer = poprec_baseline(log)
-        seed = args.seed
+        stored = EvalConfig()
         seq_len = ModelConfig.seq_len  # PopRec ignores contexts
     else:
         store, extra = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
@@ -263,17 +241,19 @@ def cmd_evaluate(args) -> int:
                 f"but the dataset has {log.user_count} / {log.item_count}"
             )
         scorer = ModelScorer(store)
-        seed = args.seed if args.seed is not None else extra.get("seed")
-        if seed is None:
+        if args.seed is None and "seed" not in extra:
             raise ConfigError("checkpoint carries no seed; pass --seed explicitly")
+        # the settings the checkpoint was validated with
+        try:
+            stored = EvalConfig(**{key.removeprefix("eval_"): extra[key]
+                                   for key in ("seed", "eval_num_negatives", "eval_k")
+                                   if key in extra})
+        except ConfigError as exc:
+            raise CompatibilityError(f"{args.checkpoint}: not a model checkpoint ({exc})") from exc
         seq_len = cfg.seq_len
-    # fall back to the settings the checkpoint was validated with
-    num_negatives = args.num_negatives
-    if num_negatives is None:
-        num_negatives = extra.get("eval_num_negatives", EvalConfig.num_negatives)
-    k = args.k if args.k is not None else extra.get("eval_k", EvalConfig.k)
+    flags = {"seed": args.seed, "num_negatives": args.num_negatives, "k": args.k}
+    eval_cfg = replace(stored, **{key: v for key, v in flags.items() if v is not None})
     splits = make_splits(log, seq_len)
-    eval_cfg = EvalConfig(seed=seed, num_negatives=num_negatives, k=k)
     report = evaluate(scorer, args.split, log, splits, eval_cfg)
     text = report.to_json()
     if args.out:
@@ -326,12 +306,10 @@ def _ablate_worker(job: tuple[str, RunConfig, str]) -> tuple[str, float]:
 def cmd_ablate(args) -> int:
     file_values = load_config_file(_require_file(args.config, "config file")) if args.config else {}
     base_cfg = resolve_run_config(file_values, args.set)
-    base_cfg.validate()
     _require_file(args.data, "processed dataset")
     out_dir = _prepare_out_dir(args.out, args.force)
-    seq_len = base_cfg.model_kwargs.get("seq_len", ModelConfig.seq_len)
-    eval_k = base_cfg.eval_config().k
-    variants = _study_variants(args.study, seq_len)
+    eval_k = base_cfg.eval.k
+    variants = _study_variants(args.study, base_cfg.model.seq_len)
 
     jobs = []
     labels = []

@@ -1,4 +1,8 @@
-"""Domain exceptions shared across the package."""
+"""Domain exceptions shared across the package, and the config type check."""
+import functools
+import math
+import numbers
+import typing
 
 
 class QrseqError(Exception):
@@ -7,6 +11,32 @@ class QrseqError(Exception):
 
 class ConfigError(QrseqError):
     """A configuration field is missing, unknown, or has an invalid value."""
+
+
+# Resolving a class's string annotations takes ~0.1 ms, so it is done once.
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _type_ok(kind, value) -> bool:
+    if kind is bool or kind is str:
+        return isinstance(value, kind)
+    if kind == tuple[int, ...] | None:
+        return value is None or (isinstance(value, (list, tuple))
+                                 and all(_type_ok(int, w) for w in value))
+    # kind is int or float; a bool is an Integral, but neither takes one
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or (kind is float and math.isfinite(value))
+
+
+def check_types(config) -> None:
+    """Raise ConfigError naming, sorted, every field of a config dataclass
+    whose value its annotation does not admit. An int is any Integral (NumPy
+    ints too) and a float any finite Real, neither of them a bool."""
+    wrong = sorted(name for name, kind in _field_types(type(config)).items()
+                   if not _type_ok(kind, getattr(config, name)))
+    if wrong:
+        raise ConfigError(f"wrong type {wrong}")
 
 
 class ParseError(QrseqError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rng_streams
 from .data import InteractionLog, SplitDataset, sample_negatives
-from .errors import ConfigError
+from .errors import ConfigError, check_types
 
 REPORT_VERSION = 1
 
@@ -28,6 +28,7 @@ class EvalConfig:
     k: int = 10
 
     def __post_init__(self):
+        check_types(self)
         if self.num_negatives < 0:
             raise ConfigError(f"num_negatives must be nonnegative, got {self.num_negatives}")
         if self.k < 1:

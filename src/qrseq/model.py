@@ -37,7 +37,7 @@ import numpy as np
 from . import atomic
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CompatibilityError, ConfigError
+from .errors import CompatibilityError, ConfigError, check_types
 
 AGGREGATIONS = ("S+S", "L+S", "L+M", "S+M", "M+M")
 
@@ -78,13 +78,11 @@ class ModelConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
+        check_types(self)
         if self.scales is None:
             self.scales = tuple(range(1, self.seq_len + 1))
         else:
             self.scales = tuple(sorted(set(int(w) for w in self.scales)))
-        self.validate()
-
-    def validate(self) -> None:
         if self.num_items < 1:
             raise ConfigError(f"num_items must be positive, got {self.num_items}")
         if self.num_users < 1:
@@ -224,6 +222,15 @@ class ParameterStore:
         self.head_bias.grad[0] = 0.0
         if self.user_embeddings is not None:
             self.user_embeddings.grad[0] = 0.0
+
+    def first_non_finite(self, grads: bool = False) -> str | None:
+        """The first parameter whose value (or gradient) has a non-finite
+        entry, None if none has: one pass over the flat array, and a walk
+        over the tensors only when that pass fails."""
+        if np.isfinite(self.flat_grads if grads else self.flat_values).all():
+            return None
+        return next(name for name, p in self._params.items()
+                    if not np.isfinite(p.grad if grads else p.value).all())
 
     def copy(self) -> "ParameterStore":
         """A store with its own arrays holding these values; zero gradients."""
@@ -469,15 +476,6 @@ def save_checkpoint(path, store: ParameterStore, extra: dict | None = None) -> N
         np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
-def _config_value_ok(name: str, value) -> bool:
-    """Whether a stored config value has the JSON type `save_checkpoint` writes."""
-    if name == "scales":
-        return isinstance(value, list) and all(_config_value_ok("scale", w) for w in value)
-    kind = {"use_output_gate": bool, "use_user_profile": bool, "aggregation": str,
-            "dropout": (int, float)}.get(name, int)
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
 def load_checkpoint(path) -> tuple[ParameterStore, dict]:
     """Load a checkpoint; returns (store, extra-metadata)."""
     # numpy leaves a file it cannot read open; closing ours releases the bundle too
@@ -504,12 +502,10 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
             )
         stored = meta["config"]
         known = {f.name for f in fields(ModelConfig)}
-        wrong = sorted(k for k in known & stored.keys() if not _config_value_ok(k, stored[k]))
-        if stored.keys() != known or wrong:
+        if stored.keys() != known:
             raise CompatibilityError(
                 f"{path}: not a model checkpoint of this version; config keys unknown "
-                f"{sorted(stored.keys() - known)}, missing {sorted(known - stored.keys())}, "
-                f"of the wrong type {wrong}"
+                f"{sorted(stored.keys() - known)}, missing {sorted(known - stored.keys())}"
             )
         try:
             config = ModelConfig(**stored)
@@ -530,4 +526,7 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
                     f"{path}: shape mismatch for {name}: {arr.shape} vs {p.value.shape}"
                 )
             np.copyto(p.value, arr)
+    bad = store.first_non_finite()
+    if bad is not None:
+        raise CompatibilityError(f"{path}: parameter {bad} holds non-finite values")
     return store, meta["extra"]

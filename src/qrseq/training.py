@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import rng as rng_streams
 from .autodiff import Tensor
 from .data import InteractionLog, SplitDataset, sample_negatives
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError, check_types
 from .evaluation import EvalConfig, MetricsReport, evaluate
 from .model import ModelConfig, ModelScorer, ParameterStore, forward_batch
 
@@ -45,6 +45,7 @@ class TrainConfig:
     max_epochs: int = 200
 
     def __post_init__(self):
+        check_types(self)
         if self.lr < 0:
             raise ConfigError(f"lr must be nonnegative, got {self.lr}")
         if self.batch_size < 1:
@@ -120,15 +121,10 @@ def adam_step(store: ParameterStore, state: AdamState, lr: float, l2: float = 0.
 
 
 def _check_finite(loss: float, store: ParameterStore, epoch: int, batch: int) -> None:
-    """Raise TrainingDivergedError unless the loss and every gradient are finite.
-
-    One pass checks the flat gradient array; only a failure walks the
-    tensors, to name the first one with a non-finite gradient.
-    """
-    if np.isfinite(loss) and np.isfinite(store.flat_grads).all():
+    """Raise TrainingDivergedError unless the loss and every gradient are finite."""
+    bad = store.first_non_finite(grads=True)
+    if np.isfinite(loss) and bad is None:
         return
-    bad = next((name for name, p in store.named_parameters().items()
-                if not np.isfinite(p.grad).all()), None)
     raise TrainingDivergedError(
         f"training diverged at epoch {epoch}, batch {batch}: loss {loss!r}, "
         f"first non-finite gradient: {bad or 'none'}"
@@ -140,7 +136,9 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
     """One pass over shuffled training windows; returns (mean loss, examples).
 
     Raises TrainingDivergedError, before the optimizer step, on the first
-    batch whose loss or gradients are not finite; NumPy's overflow and
+    batch whose loss or gradients are not finite, and after the epoch's
+    last step if it left a parameter value non-finite (each earlier step's
+    values are checked through the next step's loss); NumPy's overflow and
     invalid-value warnings are silenced for the step. Each step's tape is
     cleared after its backward, so its values are freed when the step ends.
     """
@@ -154,7 +152,7 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
     k = config.negatives_per_target
 
     total_loss = 0.0
-    for lo in range(0, n, config.batch_size):
+    for step, lo in enumerate(range(0, n, config.batch_size), start=1):
         batch = order[lo:lo + config.batch_size]
         users = splits.train_users[batch]
         contexts = splits.train_contexts[batch]
@@ -177,9 +175,16 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
             ad.backward(loss)
             tape.records.clear()  # break the tape <-> tensor cycle: free the step now
             batch_loss = loss.item()
-            _check_finite(batch_loss, store, epoch, lo // config.batch_size + 1)
+            _check_finite(batch_loss, store, epoch, step)
             adam_step(store, state, config.lr, config.l2)
         total_loss += batch_loss
+
+    bad = store.first_non_finite()
+    if bad is not None:
+        raise TrainingDivergedError(
+            f"training diverged at epoch {epoch}, batch {step}: the update left "
+            f"non-finite values, first in {bad}"
+        )
 
     return total_loss / n, n
 

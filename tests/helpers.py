@@ -246,15 +246,23 @@ def write_interactions_csv(path, sequences: list[list[str]] | None = None,
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def rewrite_config_keys(path, drop=(), add=None) -> None:
-    """Rewrite a checkpoint's stored model config with keys dropped or added."""
+def rewrite_checkpoint(path, edit) -> None:
+    """Rewrite a checkpoint after `edit(meta, arrays)` changes its parsed
+    metadata and its parameter arrays in place."""
     with np.load(path) as bundle:
         arrays = {name: bundle[name] for name in bundle.files}
     meta = json.loads(str(arrays.pop("__meta__")))
-    for key in drop:
-        del meta["config"][key]
-    meta["config"].update(add or {})
+    edit(meta, arrays)
     np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+
+
+def rewrite_config_keys(path, drop=(), add=None) -> None:
+    """Rewrite a checkpoint's stored model config with keys dropped or added."""
+    def edit(meta, arrays):
+        for key in drop:
+            del meta["config"][key]
+        meta["config"].update(add or {})
+    rewrite_checkpoint(path, edit)
 
 
 def log_to_csv(path, log: InteractionLog) -> None:

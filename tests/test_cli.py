@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qrseq.cli import main
-from helpers import rewrite_config_keys, write_interactions_csv
+from qrseq.cli import CONFIG_KEYS, _parse_bool, _parse_scales, main, resolve_run_config
+from helpers import rewrite_checkpoint, rewrite_config_keys, write_interactions_csv
 
 
 def run(args):
@@ -102,6 +105,52 @@ def test_train_invalid_field_value_exits_2(small_dataset, base_config, tmp_path,
                 "--set", "dropout=1.5", "--out", tmp_path / "o"])
     assert code == 2
     assert "dropout" in capsys.readouterr().err
+
+
+def test_train_non_finite_value_exits_2(small_dataset, base_config, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = run(["train", "--data", small_dataset, "--config", base_config,
+                "--set", "lr=nan", "--out", out])
+    assert code == 2
+    assert "wrong type ['lr']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The parent's hand-written table, which the derived one must reproduce.
+EXPECTED_CONFIG_KEYS = {
+    "seed": (int, "run"),
+    "latent_dim": (int, "model"),
+    "seq_len": (int, "model"),
+    "scales": (_parse_scales, "model"),
+    "num_layers": (int, "model"),
+    "use_output_gate": (_parse_bool, "model"),
+    "use_user_profile": (_parse_bool, "model"),
+    "aggregation": (str, "model"),
+    "dropout": (float, "model"),
+    "lr": (float, "train"),
+    "batch_size": (int, "train"),
+    "l2": (float, "train"),
+    "negatives_per_target": (int, "train"),
+    "base_epochs": (int, "train"),
+    "patience": (int, "train"),
+    "max_epochs": (int, "train"),
+    "eval_num_negatives": (int, "eval"),
+    "eval_k": (int, "eval"),
+}
+
+
+def test_config_keys_are_derived_with_the_pinned_casters():
+    assert list(CONFIG_KEYS.items()) == list(EXPECTED_CONFIG_KEYS.items())
+
+
+def test_readme_run_ini_example_matches_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n# run\.ini\n(.*?)```", readme, re.S).group(1)
+    values = dict(line.split(" = ", 1) for line in block.splitlines())
+    assert values.keys() == CONFIG_KEYS.keys()
+    for key, text in values.items():
+        CONFIG_KEYS[key][0](text)
+    resolve_run_config(values, None)
 
 
 def test_train_requires_seed(small_dataset, tmp_path, capsys):
@@ -235,6 +284,28 @@ def test_evaluate_checkpoint_with_a_bad_config_value_exits_1(trained, small_data
     code = run(["evaluate", "--checkpoint", path, "--data", small_dataset])
     assert code == 1
     assert "not a model checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [{"eval_k": "x"}, {"seed": True}, {"eval_num_negatives": 2.5}],
+                         ids=["k-str", "seed-bool", "negatives-float"])
+def test_evaluate_checkpoint_with_bad_eval_settings_exits_1(trained, small_dataset, capsys,
+                                                            value):
+    path = trained / "checkpoint.npz"
+    rewrite_checkpoint(path, lambda meta, arrays: meta["extra"].update(value))
+    code = run(["evaluate", "--checkpoint", path, "--data", small_dataset])
+    assert code == 1
+    assert "not a model checkpoint" in capsys.readouterr().err
+
+
+def test_evaluate_checkpoint_with_non_finite_values_exits_1(trained, small_dataset, capsys):
+    path = trained / "checkpoint.npz"
+
+    def poison(meta, arrays):
+        arrays["head_bias"][1] = np.nan
+    rewrite_checkpoint(path, poison)
+    code = run(["evaluate", "--checkpoint", path, "--data", small_dataset])
+    assert code == 1
+    assert "parameter head_bias holds non-finite values" in capsys.readouterr().err
 
 
 def test_evaluate_incompatible_dataset_fails(trained, tmp_path, capsys):

@@ -256,11 +256,15 @@ def test_per_user_values_bounded():
         assert 0 < ap <= 1 and recall in (0.0, 1.0) and 0 <= ndcg <= 1
 
 
-def test_eval_config_validation():
+@pytest.mark.parametrize("bad", [
+    dict(seed=0, num_negatives=4, k=10),
+    dict(seed=0, k=0),
+    dict(seed="x"),
+    dict(k=True),
+], ids=["k-above-candidates", "k-zero", "seed-str", "k-bool"])
+def test_eval_config_validation(bad):
     with pytest.raises(ConfigError):
-        EvalConfig(seed=0, num_negatives=4, k=10)
-    with pytest.raises(ConfigError):
-        EvalConfig(seed=0, k=0)
+        EvalConfig(**bad)
 
 
 # -- poprec ------------------------------------------------------------------------

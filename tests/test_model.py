@@ -78,10 +78,25 @@ def test_scales_are_sorted_and_deduplicated():
     dict(aggregation="X+S"),
     dict(dropout=1.0),
     dict(scales=(), use_user_profile=False),
+    dict(latent_dim=4.5),
+    dict(num_layers=True),
+    dict(use_output_gate="no"),
+    dict(scales=[1.7]),
 ])
 def test_config_validation_rejects_bad_fields(bad):
     with pytest.raises(ConfigError):
         small_config(**bad)
+
+
+def test_config_type_errors_name_every_wrong_field_sorted():
+    with pytest.raises(ConfigError, match=r"^wrong type \['aggregation', 'dropout'\]$"):
+        small_config(dropout="0.5", aggregation=3)
+
+
+def test_numpy_int_scales_are_accepted():
+    # as perfbench's criterion-1 configs draw them: a tuple of NumPy ints
+    cfg = small_config(scales=tuple(np.array([3, 1], dtype=np.int32)))
+    assert cfg.scales == (1, 3) and all(type(w) is int for w in cfg.scales)
 
 
 def test_profile_only_config_is_allowed():
@@ -711,6 +726,16 @@ def test_checkpoint_config_keys_must_match(tmp_path, drop, add, named):
     with pytest.raises(CompatibilityError, match="not a model checkpoint") as err:
         load_checkpoint(path)
     assert named in str(err.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, value):
+    store = small_store()
+    store.head_bias.value[2] = value
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, store)
+    with pytest.raises(CompatibilityError, match="parameter head_bias holds non-finite values"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_foreign_npz(tmp_path):

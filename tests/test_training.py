@@ -260,6 +260,24 @@ def test_fit_raises_on_divergence_instead_of_returning_a_checkpoint():
     assert evaluated == ["validation", "test"]
 
 
+def test_a_diverged_final_update_is_caught_not_returned():
+    # one batch an epoch: its decay lr*l2*theta overflows the values the
+    # epoch's last update writes, which no later step's loss would check
+    log, model_cfg, splits = tiny_setup()
+    evaluated = []
+
+    def evaluate_fn(store, split):
+        evaluated.append(split)
+        return fake_report(0.0)
+
+    train_cfg = TrainConfig(seed=6, lr=1e300, l2=1e300, batch_size=4096,
+                            base_epochs=1, max_epochs=1)
+    with pytest.raises(TrainingDivergedError, match="epoch 1, batch 1: the update left "
+                                                    "non-finite values, first in item_embeddings"):
+        fit(log, splits, model_cfg, train_cfg, EvalConfig(), evaluate_fn=evaluate_fn)
+    assert evaluated == []
+
+
 def test_divergence_raises_without_numpy_warnings():
     log, model_cfg, splits = tiny_setup()
     train_cfg = TrainConfig(seed=6, lr=1e300, batch_size=16, base_epochs=3)
@@ -413,12 +431,17 @@ def test_full_fit_run_is_deterministic():
     assert outputs[0] == outputs[1]
 
 
-def test_train_config_validation():
+@pytest.mark.parametrize("bad", [
+    dict(lr=-1.0),
+    dict(batch_size=0),
+    dict(negatives_per_target=0),
+    dict(base_epochs=30, max_epochs=20),
+    dict(batch_size=2.5),
+    dict(lr=float("nan")),
+    dict(l2=float("inf")),
+    dict(seed=True),
+], ids=["lr-negative", "batch-size-zero", "negatives-zero", "max-below-base",
+        "batch-size-float", "lr-nan", "l2-inf", "seed-bool"])
+def test_train_config_validation(bad):
     with pytest.raises(ConfigError):
-        TrainConfig(seed=0, lr=-1.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(seed=0, batch_size=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(seed=0, negatives_per_target=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(seed=0, base_epochs=30, max_epochs=20)
+        TrainConfig(**{"seed": 0, **bad})
