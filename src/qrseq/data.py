@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic
-from .errors import CompatibilityError, EmptyDatasetError, ParseError, SamplingError
+from .errors import (CompatibilityError, ConfigError, EmptyDatasetError, ParseError,
+                     SamplingError, SplitError)
 
 DATASET_VERSION = 1
 
@@ -225,8 +226,13 @@ def preprocess(records: list[RawInteraction], min_rating: float = 3,
     Timestamp ties keep their input order (stable sort). User ids follow
     first appearance among surviving rows; item ids follow first appearance
     scanning users in id order through their time-sorted sequences, which
-    makes the mapping reproducible and idempotent.
+    makes the mapping reproducible and idempotent. Every user kept needs
+    the 3 interactions the leave-one-out split takes, so min_interactions
+    must be at least 3.
     """
+    if min_interactions < 3:
+        raise ConfigError(f"min_interactions must be >= 3 (a training, a validation and a "
+                          f"test item per user), got {min_interactions}")
     kept = [r for r in records if r.rating >= min_rating]
     by_user: dict[str, list[RawInteraction]] = {}
     for r in kept:
@@ -284,44 +290,44 @@ class SplitDataset:
         raise ValueError(f"unknown split {split!r}; expected 'validation' or 'test'")
 
 
-def _window(seq: list[int], position: int, seq_len: int) -> list[int]:
-    ctx = seq[max(0, position - seq_len):position]
-    return [0] * (seq_len - len(ctx)) + ctx
-
-
 def make_splits(log: InteractionLog, seq_len: int = 5) -> SplitDataset:
     """Last item is the test target, second-to-last the validation target;
-    training windows slide (stride 1) over the remaining prefix."""
+    training windows slide (stride 1) over the remaining prefix.
+
+    Each user's sequence is left-padded once with seq_len zeros, so the
+    context of position p is the slice padded[p:p + seq_len]. Training
+    takes positions 1..n-3 (position 0 has no true context), validation
+    n-2 and test n-1.
+    """
     train_u, train_c, train_t = [], [], []
-    val_u, val_c, val_t = [], [], []
-    test_u, test_c, test_t = [], [], []
-    for user in range(1, log.user_count + 1):
-        seq = log.items_of(user)
+    val_c, val_t, test_c, test_t = [], [], [], []
+    for user, seq in enumerate(log.sequences, start=1):
         n = len(seq)
         if n < 3:
-            raise ValueError(f"user {user} has only {n} interactions; need at least 3 to split")
-        test_u.append(user)
-        test_c.append(_window(seq, n - 1, seq_len))
-        test_t.append(seq[n - 1])
-        val_u.append(user)
-        val_c.append(_window(seq, n - 2, seq_len))
+            raise SplitError(f"user {user} ({log.user_ids[user - 1]!r}) has only {n} "
+                             f"interaction(s); the leave-one-out split needs at least 3")
+        padded = [0] * seq_len + seq
+        train_u += [user] * (n - 3)
+        train_c += [padded[p:p + seq_len] for p in range(1, n - 2)]
+        train_t += seq[1:n - 2]
+        val_c.append(padded[n - 2:n - 2 + seq_len])
         val_t.append(seq[n - 2])
-        # positions 1 .. n-3 of the prefix; position 0 has no true context
-        for p in range(1, n - 2):
-            train_u.append(user)
-            train_c.append(_window(seq, p, seq_len))
-            train_t.append(seq[p])
+        test_c.append(padded[n - 1:n - 1 + seq_len])
+        test_t.append(seq[n - 1])
+
+    def rows(contexts):
+        return np.asarray(contexts, dtype=np.intp).reshape(len(contexts), seq_len)
 
     return SplitDataset(
         seq_len=seq_len,
         train_users=np.asarray(train_u, dtype=np.intp),
-        train_contexts=np.asarray(train_c, dtype=np.intp).reshape(len(train_u), seq_len),
+        train_contexts=rows(train_c),
         train_targets=np.asarray(train_t, dtype=np.intp),
-        val_users=np.asarray(val_u, dtype=np.intp),
-        val_contexts=np.asarray(val_c, dtype=np.intp).reshape(len(val_u), seq_len),
+        val_users=np.arange(1, log.user_count + 1, dtype=np.intp),
+        val_contexts=rows(val_c),
         val_targets=np.asarray(val_t, dtype=np.intp),
-        test_users=np.asarray(test_u, dtype=np.intp),
-        test_contexts=np.asarray(test_c, dtype=np.intp).reshape(len(test_u), seq_len),
+        test_users=np.arange(1, log.user_count + 1, dtype=np.intp),
+        test_contexts=rows(test_c),
         test_targets=np.asarray(test_t, dtype=np.intp),
     )
 

@@ -2,6 +2,7 @@
 import functools
 import math
 import numbers
+import sys
 import typing
 
 
@@ -26,17 +27,28 @@ def _type_ok(kind, value) -> bool:
     # kind is int or float; a bool is an Integral, but neither takes one
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
-    return isinstance(value, numbers.Integral) or (kind is float and math.isfinite(value))
+    if isinstance(value, numbers.Integral):  # a float field takes one that float() can hold
+        return kind is int or abs(value) <= sys.float_info.max
+    return kind is float and math.isfinite(value)
 
 
 def check_types(config) -> None:
     """Raise ConfigError naming, sorted, every field of a config dataclass
     whose value its annotation does not admit. An int is any Integral (NumPy
-    ints too) and a float any finite Real, neither of them a bool."""
-    wrong = sorted(name for name, kind in _field_types(type(config)).items()
+    ints too) and a float any finite Real, neither of them a bool. Admitted
+    values are then stored as Python ints, floats and tuples of ints, so a
+    config given NumPy scalars still serialises as JSON."""
+    types = _field_types(type(config))
+    wrong = sorted(name for name, kind in types.items()
                    if not _type_ok(kind, getattr(config, name)))
     if wrong:
         raise ConfigError(f"wrong type {wrong}")
+    for name, kind in types.items():
+        value = getattr(config, name)
+        if kind is int or kind is float:
+            setattr(config, name, kind(value))
+        elif isinstance(value, (list, tuple)):  # a tuple[int, ...] field
+            setattr(config, name, tuple(int(w) for w in value))
 
 
 class ParseError(QrseqError):
@@ -49,6 +61,10 @@ class ParseError(QrseqError):
 
 class EmptyDatasetError(QrseqError):
     """Preprocessing filtered out every user."""
+
+
+class SplitError(QrseqError):
+    """A user has too few interactions for the leave-one-out split."""
 
 
 class SamplingError(QrseqError):

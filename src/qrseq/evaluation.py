@@ -164,8 +164,6 @@ class PopRecScorer:
 
 def poprec_baseline(log: InteractionLog) -> PopRecScorer:
     """Popularity counts excluding each user's two held-out items."""
-    counts = np.zeros(log.item_count + 1, dtype=np.int64)
-    for user in range(1, log.user_count + 1):
-        for item in log.items_of(user)[:-2]:
-            counts[item] += 1
+    prefix_items = [item for seq in log.sequences for item in seq[:-2]]
+    counts = np.bincount(np.asarray(prefix_items, dtype=np.intp), minlength=log.item_count + 1)
     return PopRecScorer(counts)

@@ -82,7 +82,7 @@ class ModelConfig:
         if self.scales is None:
             self.scales = tuple(range(1, self.seq_len + 1))
         else:
-            self.scales = tuple(sorted(set(int(w) for w in self.scales)))
+            self.scales = tuple(sorted(set(self.scales)))
         if self.num_items < 1:
             raise ConfigError(f"num_items must be positive, got {self.num_items}")
         if self.num_users < 1:

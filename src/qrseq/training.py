@@ -215,8 +215,9 @@ def fit(log: InteractionLog, splits: SplitDataset, model_config: ModelConfig,
 
     Runs base_epochs epochs, then keeps going while any validation metric
     improved within the last `patience` epochs (hard cap at max_epochs).
-    The returned checkpoint is the epoch with the best validation ndcg@k,
-    paired with that same epoch's test metrics.
+    The returned checkpoint is the epoch with the best validation ndcg@k;
+    the test split is evaluated once, on that checkpoint. With
+    base_epochs = 0 no epoch runs and the checkpoint is the initial model.
 
     `evaluate_fn(store, split)` may be injected for tests; the default runs
     the sampled-ranking evaluation on this run's data. A diverged step
@@ -229,43 +230,32 @@ def fit(log: InteractionLog, splits: SplitDataset, model_config: ModelConfig,
     store = ParameterStore(model_config, rng=rng_streams.stream(train_config.seed, "init"))
     state = AdamState(store)
 
-    if train_config.base_epochs == 0:
-        val = evaluate_fn(store, "validation")
-        test = evaluate_fn(store, "test")
-        return FitResult(store, 0, 0, val, test, [])
-
     history: list[EpochRecord] = []
-    best_ndcg = -np.inf
-    best = None
+    best = None  # (epoch, store copy, validation report) of the best validation ndcg
     metric_bests = {"map": -np.inf, "recall": -np.inf, "ndcg": -np.inf}
-    last_improvement = 0
-    epoch = 0
-    while True:
+    epoch = last_improvement = 0
+    while epoch < train_config.base_epochs or (
+            0 < epoch < train_config.max_epochs
+            and epoch - last_improvement < train_config.patience):
         epoch += 1
         mean_loss, _ = train_epoch(log, splits, store, state, train_config, epoch)
         val = evaluate_fn(store, "validation")
-        test = evaluate_fn(store, "test")
 
-        improved = False
-        for key, value in (("map", val.map), ("recall", val.recall), ("ndcg", val.ndcg)):
-            if value > metric_bests[key]:
-                metric_bests[key] = value
-                improved = True
+        values = {"map": val.map, "recall": val.recall, "ndcg": val.ndcg}
+        improved = {key for key, value in values.items() if value > metric_bests[key]}
         if improved:
             last_improvement = epoch
-        if val.ndcg > best_ndcg:
-            best_ndcg = val.ndcg
-            best = (epoch, store.copy(), val, test)
+            metric_bests.update((key, values[key]) for key in improved)
+        if "ndcg" in improved:
+            best = (epoch, store.copy(), val)
 
         record = EpochRecord(epoch, mean_loss, val.map, val.recall, val.ndcg)
         history.append(record)
         if progress is not None:
             progress(record)
 
-        if epoch >= train_config.max_epochs:
-            break
-        if epoch >= train_config.base_epochs and epoch - last_improvement >= train_config.patience:
-            break
-
-    best_epoch, best_store, best_val, best_test = best
-    return FitResult(best_store, best_epoch, epoch, best_val, best_test, history)
+    if best is None:  # base_epochs = 0: no epoch ran
+        best = (0, store, evaluate_fn(store, "validation"))
+    best_epoch, best_store, best_val = best
+    test = evaluate_fn(best_store, "test")
+    return FitResult(best_store, best_epoch, epoch, best_val, test, history)

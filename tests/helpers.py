@@ -7,7 +7,7 @@ import numpy as np
 
 from qrseq import autodiff as ad
 from qrseq import rng as rng_streams
-from qrseq.data import InteractionLog
+from qrseq.data import InteractionLog, SplitDataset
 from qrseq.model import ModelConfig, ParameterStore, forward_batch, predict_scores
 from qrseq.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, bce_loss
 
@@ -176,6 +176,41 @@ def reference_negatives(log: InteractionLog, user: int, k: int,
     `sample_negatives`: the same positions index the ascending unseen items."""
     unseen = np.setdiff1d(np.arange(1, log.item_count + 1), log.items_of(user))
     return unseen[rng.choice(len(unseen), size=k, replace=False)]
+
+
+def reference_splits(log: InteractionLog, seq_len: int) -> SplitDataset:
+    """Leave-one-out splits built one window at a time, each its own left-padded
+    slice of the sequence: the reference for `make_splits`."""
+    def window(seq, position):
+        ctx = seq[max(0, position - seq_len):position]
+        return [0] * (seq_len - len(ctx)) + ctx
+
+    parts = {name: [] for name in ("train", "val", "test")}
+    for user in range(1, log.user_count + 1):
+        seq = log.items_of(user)
+        n = len(seq)
+        parts["test"].append((user, window(seq, n - 1), seq[n - 1]))
+        parts["val"].append((user, window(seq, n - 2), seq[n - 2]))
+        for p in range(1, n - 2):
+            parts["train"].append((user, window(seq, p), seq[p]))
+
+    arrays = {}
+    for name, rows in parts.items():
+        arrays[f"{name}_users"] = np.asarray([r[0] for r in rows], dtype=np.intp)
+        arrays[f"{name}_contexts"] = np.asarray([r[1] for r in rows],
+                                                dtype=np.intp).reshape(len(rows), seq_len)
+        arrays[f"{name}_targets"] = np.asarray([r[2] for r in rows], dtype=np.intp)
+    return SplitDataset(seq_len=seq_len, **arrays)
+
+
+def reference_poprec_counts(log: InteractionLog) -> np.ndarray:
+    """Per-item counts over every user's sequence but its last two items, one
+    item at a time: the reference for `poprec_baseline`'s counts."""
+    counts = np.zeros(log.item_count + 1, dtype=np.int64)
+    for user in range(1, log.user_count + 1):
+        for item in log.items_of(user)[:-2]:
+            counts[item] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------

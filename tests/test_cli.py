@@ -50,6 +50,15 @@ def test_preprocess_empty_result_fails_nonzero(tmp_path, capsys):
     assert "no users" in capsys.readouterr().err
 
 
+def test_preprocess_min_interactions_below_three_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    write_interactions_csv(raw, sequences=[["a", "b", "c", "d"], ["a", "b"]])
+    out = tmp_path / "data.json"
+    assert run(["preprocess", "--input", raw, "--min-interactions", 1, "--out", out]) == 2
+    assert "min_interactions must be >= 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preprocess_strict_flag_rejects_malformed(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("user,item,rating,timestamp\nu1,a,bad,0\n", encoding="utf-8")
@@ -349,6 +358,20 @@ def test_evaluate_malformed_dataset_exits_1(tmp_path, content, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: not a processed dataset") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate-poprec"])
+def test_a_user_too_short_to_split_exits_1(base_config, tmp_path, command, capsys):
+    data = tmp_path / "short.json"
+    data.write_text(dataset_text([[1, 2, 3, 4], [2, 3]], user_ids=["u1", "u2"],
+                                 item_ids=["i1", "i2", "i3", "i4"]))
+    if command == "train":
+        args = ["train", "--data", data, "--config", base_config, "--out", tmp_path / "run"]
+    else:
+        args = ["evaluate", "--baseline", "poprec", "--seed", 1, "--data", data]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: user 2 ('u2') has only 2 interaction") and err.count("\n") == 1
 
 
 def test_train_out_naming_a_file_exits_2(small_dataset, base_config, tmp_path, capsys):

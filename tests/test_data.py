@@ -18,8 +18,9 @@ from qrseq.data import (
     preprocess,
     sample_negatives,
 )
-from qrseq.errors import EmptyDatasetError, ParseError, SamplingError
-from helpers import reference_negatives
+from qrseq.errors import (ConfigError, EmptyDatasetError, ParseError, SamplingError,
+                          SplitError)
+from helpers import reference_negatives, reference_splits
 
 FIXTURE = Path(__file__).parent / "data" / "interactions_fixture.csv"
 GOLDEN = Path(__file__).parent / "data" / "preprocess_golden.json"
@@ -163,6 +164,15 @@ def test_id_maps_are_dense_bijections():
     )
     assert len(set(log.user_ids)) == log.user_count
     assert len(set(log.item_ids)) == log.item_count
+
+
+@pytest.mark.parametrize("min_interactions", [-1, 0, 1, 2])
+def test_preprocess_rejects_a_threshold_the_split_cannot_take(min_interactions):
+    with pytest.raises(ConfigError, match="min_interactions must be >= 3"):
+        preprocess(ten_rows(), min_interactions=min_interactions)
+    rows = [rec("three", f"x{i}", 5, i) for i in range(3)] + [rec("two", "y", 5, 0),
+                                                             rec("two", "z", 5, 1)]
+    assert preprocess(rows, min_interactions=3).user_ids == ["three"]
 
 
 def test_empty_result_raises():
@@ -315,3 +325,33 @@ def test_sampling_matches_complement_reference_draw():
             want = reference_negatives(log, 1, k, rng_streams.stream(trial, "neg", k))
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist()
+
+
+def assert_splits_equal(got: SplitDataset, want: SplitDataset):
+    assert got.seq_len == want.seq_len
+    for f in fields(SplitDataset):
+        if f.name == "seq_len":
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous, f.name
+        assert np.array_equal(a, b), f.name
+
+
+@pytest.mark.parametrize("seq_len", [1, 2, 5, 12])
+def test_splits_match_the_per_window_reference(seq_len):
+    # short users (n = 3 gives no training window), seq_len past n, repeated items
+    rng = np.random.default_rng(seq_len)
+    logs = [InteractionLog.from_sequences([[1, 2, 3], [3, 3, 1]], 3)]  # no training window
+    for _ in range(20):
+        item_count = int(rng.integers(2, 9))
+        lengths = [3] + rng.integers(3, 16, size=int(rng.integers(0, 6))).tolist()
+        seqs = [rng.integers(1, item_count + 1, size=n).tolist() for n in lengths]
+        logs.append(InteractionLog.from_sequences(seqs, item_count))
+    for log in logs:
+        assert_splits_equal(make_splits(log, seq_len), reference_splits(log, seq_len))
+
+
+def test_a_user_too_short_to_split_is_named():
+    log = InteractionLog([[1, 2, 3, 4], [2, 3], [1]], ["a", "b", "c"], ["i1", "i2", "i3", "i4"])
+    with pytest.raises(SplitError, match=r"^user 2 \('b'\) has only 2 interaction"):
+        make_splits(log, seq_len=5)

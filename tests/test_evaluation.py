@@ -15,7 +15,7 @@ from qrseq.evaluation import (
     target_ranks,
     user_metrics,
 )
-from helpers import oracle_rank, uniform_log
+from helpers import oracle_rank, reference_poprec_counts, uniform_log
 
 
 class FixedScorer:
@@ -267,27 +267,50 @@ def test_eval_config_validation(bad):
         EvalConfig(**bad)
 
 
+def test_report_json_takes_a_numpy_seed():
+    log = uniform_log(num_users=20, num_items=40, seq_len=6, seed=3)
+    splits = make_splits(log, seq_len=5)
+    config = EvalConfig(seed=np.int64(3), num_negatives=np.int32(10))
+    assert type(config.seed) is int and type(config.num_negatives) is int
+    report = evaluate(FixedScorer(), "test", log, splits, config)
+    assert json.loads(report.to_json())["seed"] == 3
+
+
 # -- poprec ------------------------------------------------------------------------
+
+
+def poprec_checked(log):
+    """The PopRec scorer, after checking its counts against the per-item reference."""
+    scorer = poprec_baseline(log)
+    want = reference_poprec_counts(log)
+    assert scorer.counts.dtype == want.dtype == np.int64
+    assert scorer.counts.tolist() == want.tolist()
+    return scorer
 
 
 def test_poprec_orders_by_frequency():
     log = InteractionLog.from_sequences(
         [[1, 1, 1, 1, 1, 2, 2, 2, 3, 4], [1, 2, 1, 2, 1, 2, 3, 3, 5, 6]], 6
     )
-    scorer = poprec_baseline(log)
+    scorer = poprec_checked(log)
     scores = scorer.score_batch([1], [[0] * 5], [[1, 2, 3]])
     assert scores[0, 0] > scores[0, 1] > scores[0, 2]
 
 
 def test_poprec_excludes_held_out_items_and_scores_unseen_zero():
     log = InteractionLog.from_sequences([[1, 1, 1, 2, 3]], 4)
-    scorer = poprec_baseline(log)
+    scorer = poprec_checked(log)
     scores = scorer.score_batch([1], [[0] * 5], [[1, 2, 3, 4]])
     assert scores[0].tolist() == [3.0, 0.0, 0.0, 0.0]  # items 2, 3 are held out
+
+
+def test_poprec_counts_skip_users_with_no_training_prefix():
+    log = InteractionLog.from_sequences([[2], [1, 3], [4, 4, 4, 1], [4, 2, 5, 5]], 6)
+    assert poprec_checked(log).counts.tolist() == [0, 0, 1, 0, 3, 0, 0]
 
 
 def test_poprec_near_chance_on_uniform_popularity():
     log = uniform_log(num_users=600, num_items=400, seq_len=12, seed=11)
     splits = make_splits(log, seq_len=5)
-    report = evaluate(poprec_baseline(log), "test", log, splits, EvalConfig(seed=0))
+    report = evaluate(poprec_checked(log), "test", log, splits, EvalConfig(seed=0))
     assert abs(report.recall - 10 / 101) < 0.05

@@ -82,6 +82,7 @@ def test_scales_are_sorted_and_deduplicated():
     dict(num_layers=True),
     dict(use_output_gate="no"),
     dict(scales=[1.7]),
+    dict(dropout=10 ** 400),
 ])
 def test_config_validation_rejects_bad_fields(bad):
     with pytest.raises(ConfigError):
@@ -97,6 +98,18 @@ def test_numpy_int_scales_are_accepted():
     # as perfbench's criterion-1 configs draw them: a tuple of NumPy ints
     cfg = small_config(scales=tuple(np.array([3, 1], dtype=np.int32)))
     assert cfg.scales == (1, 3) and all(type(w) is int for w in cfg.scales)
+
+
+def test_numpy_scalars_are_stored_as_python_numbers(tmp_path):
+    cfg = ModelConfig(num_items=np.int64(5), num_users=np.int32(2), latent_dim=np.int64(4),
+                      dropout=np.float32(0.25))
+    for name in ("num_items", "num_users", "latent_dim"):
+        assert type(getattr(cfg, name)) is int, name
+    assert type(cfg.dropout) is float and cfg.dropout == 0.25
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, ParameterStore(cfg))
+    assert load_checkpoint(path)[0].config == cfg
+    assert type(small_config(dropout=0).dropout) is float
 
 
 def test_profile_only_config_is_allowed():

@@ -257,7 +257,7 @@ def test_fit_raises_on_divergence_instead_of_returning_a_checkpoint():
     with pytest.raises(TrainingDivergedError, match="epoch 2, batch 1: loss"):
         fit(log, splits, model_cfg, train_cfg, EvalConfig(),
             evaluate_fn=evaluate_fn)
-    assert evaluated == ["validation", "test"]
+    assert evaluated == ["validation"]  # epoch 1's; the test split waits for the end
 
 
 def test_a_diverged_final_update_is_caught_not_returned():
@@ -371,9 +371,12 @@ def test_fit_returns_checkpoint_from_peak_validation_ndcg():
     log, model_cfg, splits = tiny_setup()
     ndcg_by_epoch = {1: 0.2, 2: 0.4, 3: 0.9, 4: 0.5, 5: 0.1}
     snapshots = {}
+    counter = {"epoch": 0}
 
     def scripted(store, split):
-        epoch = len(snapshots) // 2 + 1
+        if split == "validation":
+            counter["epoch"] += 1
+        epoch = counter["epoch"]
         snapshots[(epoch, split)] = store.item_embeddings.value.copy()
         return fake_report(ndcg_by_epoch.get(epoch, 0.05))
 
@@ -383,6 +386,26 @@ def test_fit_returns_checkpoint_from_peak_validation_ndcg():
     assert result.best_epoch == 3
     assert np.array_equal(result.store.item_embeddings.value, snapshots[(3, "validation")])
     assert result.val_report.ndcg == 0.9
+
+
+def test_fit_evaluates_the_test_split_once_on_the_best_checkpoint():
+    log, model_cfg, splits = tiny_setup()
+    ndcg_by_epoch = {1: 0.3, 2: 0.7, 3: 0.6, 4: 0.5}
+    calls, snapshots = [], {}
+
+    def scripted(store, split):
+        calls.append(split)
+        epoch = calls.count("validation")
+        snapshots[(epoch, split)] = store.flat_values.copy()
+        return fake_report(ndcg_by_epoch.get(epoch, 0.0))
+
+    cfg = TrainConfig(seed=4, lr=0.005, base_epochs=3, patience=2, batch_size=64)
+    result = fit(log, splits, model_cfg, cfg, EvalConfig(seed=0, num_negatives=10),
+                 evaluate_fn=scripted)
+    assert result.best_epoch == 2 and result.epochs_run == 4
+    assert calls == ["validation"] * 4 + ["test"]
+    assert np.array_equal(snapshots[(4, "test")], snapshots[(2, "validation")])
+    assert not np.array_equal(snapshots[(4, "test")], snapshots[(4, "validation")])
 
 
 def test_fit_continues_past_base_epochs_while_improving():
