@@ -5,7 +5,9 @@ needs; it is not a general autodiff library. Recording is explicit:
 operations executed inside a ``with record() as tape:`` block are appended
 to that tape whenever a gradient-enabled tensor participates, and
 ``backward(root)`` replays the tape in reverse, accumulating
-d(root)/d(leaf) into every gradient-enabled leaf with ``+=``.
+d(root)/d(leaf) into every gradient-enabled leaf with ``+=``. It then
+empties ``tape.records``, so a tape takes one ``backward`` and its values
+are freed by reference count as soon as the caller drops its tensors.
 
 Adjoints of intermediate nodes are created lazily: an intermediate
 tensor's ``grad`` is ``None`` until its first contribution, which it takes
@@ -14,8 +16,8 @@ has run, so no adjoint is zero-filled and none outlives its use. Records
 whose adjoint is never created do not reach the root and are skipped.
 Leaf gradients are buffers made by ``parameter()``, often views into a
 parameter store's one flat gradient array; they persist across backward
-calls and accumulate with ``+=``, so backward on two roots of one tape
-sums their contributions (gradient linearity).
+calls and accumulate with ``+=``, so backward on two roots, each on its
+own tape, sums their contributions (gradient linearity).
 
 One rule keeps adjoints from aliasing: ``backward`` makes a record's
 upstream adjoint ``g`` read-only before its step runs. The step may hand
@@ -37,12 +39,6 @@ and ``sum_col_blocks`` sums the blocks (the sum over time).
 (0, 1). ``softplus`` keeps the overflow-free exp(-|x|) form, whose term it
 needs for log1p anyway. ``is_recording()`` tells code that also runs off
 the tape (the model's evaluation scoring) whether an op could be taped.
-
-A tape holds its records and each recorded tensor holds its tape, a
-reference cycle: a caller that keeps no use for the tape after
-``backward`` clears ``tape.records`` so the step's values are freed by
-reference count instead of waiting for the cyclic collector. The training
-loop does so after every step.
 
 Everything is float64: the models are small and gradient checking at
 tight tolerances is unreliable in float32. One recording episode is
@@ -154,22 +150,25 @@ def _track(out: Tensor, inputs: Sequence[Tensor], step) -> Tensor:
 def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(leaf) into the gradient of every enabled leaf.
 
-    `root` must be a scalar produced by tape-recorded operations. Repeated
-    calls against the same tape keep adding into leaf gradients.
+    `root` must be a scalar produced by tape-recorded operations. The walk
+    consumes its tape, even if a step raises; a second call on it raises ValueError.
     """
     tape = root.tape
     if tape is None:
         raise ValueError("backward root was not produced by tape-recorded operations")
     if root.value.size != 1:
         raise ValueError(f"backward root must be a scalar, got shape {root.shape}")
-    for out, _ in tape.records:
-        out.grad = None
+    if not tape.records:
+        raise ValueError("backward root's tape was already consumed by an earlier backward")
     root.grad = np.ones_like(root.value)
-    for out, step in reversed(tape.records):
-        if out.grad is not None:
-            out.grad.flags.writeable = False  # so the step may hand it to any inputs
-            step(out.grad)
-            out.grad = None
+    try:
+        for out, step in reversed(tape.records):
+            if out.grad is not None:
+                out.grad.flags.writeable = False  # so the step may hand it to any inputs
+                step(out.grad)
+                out.grad = None
+    finally:
+        tape.records.clear()  # breaks the tensor -> tape -> records cycle
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

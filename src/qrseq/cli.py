@@ -307,6 +307,10 @@ def cmd_ablate(args) -> int:
     file_values = load_config_file(_require_file(args.config, "config file")) if args.config else {}
     base_cfg = resolve_run_config(file_values, args.set)
     _require_file(args.data, "processed dataset")
+    threads = os.environ.get("QRSEQ_THREADS", "1")  # worker processes for the variants
+    if not threads.strip().isdecimal() or int(threads) < 1:
+        raise ConfigError(f"QRSEQ_THREADS must be a positive integer, got {threads!r}")
+    workers = int(threads)
     out_dir = _prepare_out_dir(args.out, args.force)
     eval_k = base_cfg.eval.k
     variants = _study_variants(args.study, base_cfg.model.seq_len)
@@ -321,7 +325,6 @@ def cmd_ablate(args) -> int:
         jobs.append((args.data, resolve_run_config(raw, None), str(variant_dir)))
         labels.append(label)
 
-    workers = int(os.environ.get("QRSEQ_THREADS", "1"))
     results: list[float] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

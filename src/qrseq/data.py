@@ -124,6 +124,8 @@ class InteractionLog:
                 raise CompatibilityError(
                     f"{path}: not a processed dataset (a sequence is not a list of item ids "
                     f"in 1..{n})")
+        if not sequences:
+            raise EmptyDatasetError(f"{path}: dataset has no users")
         return cls(sequences, user_ids, item_ids)
 
 

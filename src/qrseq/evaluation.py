@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rng_streams
 from .data import InteractionLog, SplitDataset, sample_negatives
-from .errors import ConfigError, check_types
+from .errors import ConfigError, SamplingError, check_types
 
 REPORT_VERSION = 1
 
@@ -96,7 +96,9 @@ def evaluate(scorer, split: str, log: InteractionLog, splits: SplitDataset,
 
     `scorer` only needs a ``score_batch(user_ids, contexts, candidate_ids)``
     method returning a float array of the candidate shape, so trained
-    models and popularity baselines evaluate through the same path.
+    models and popularity baselines evaluate through the same path. A user
+    with fewer unseen items than `num_negatives` is ranked against all of
+    them, with a warning; one with none raises SamplingError.
     """
     users, contexts, targets = splits.split_arrays(split)
     if len(users) == 0:
@@ -107,6 +109,9 @@ def evaluate(scorer, split: str, log: InteractionLog, splits: SplitDataset,
         user = int(user)
         stream = rng_streams.stream(config.seed, "eval-candidates", split, user)
         available = log.item_count - len(log.seen_items(user))
+        if available == 0 and config.num_negatives:
+            raise SamplingError(f"user {user} ({log.user_ids[user - 1]!r}) has seen every "
+                                f"item, so no candidate is left to rank the target against")
         n_neg = min(config.num_negatives, available)
         if n_neg < config.num_negatives:
             warnings.append(

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import rng as rng_streams
 from .autodiff import Tensor
 from .data import InteractionLog, SplitDataset, sample_negatives
-from .errors import ConfigError, TrainingDivergedError, check_types
+from .errors import ConfigError, SplitError, TrainingDivergedError, check_types
 from .evaluation import EvalConfig, MetricsReport, evaluate
 from .model import ModelConfig, ModelScorer, ParameterStore, forward_batch
 
@@ -139,12 +139,13 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
     batch whose loss or gradients are not finite, and after the epoch's
     last step if it left a parameter value non-finite (each earlier step's
     values are checked through the next step's loss); NumPy's overflow and
-    invalid-value warnings are silenced for the step. Each step's tape is
-    cleared after its backward, so its values are freed when the step ends.
+    invalid-value warnings are silenced for the step. Raises SplitError,
+    before any step, when the split has no training window.
     """
     n = len(splits.train_targets)
     if n == 0:
-        raise ValueError("training split is empty")
+        raise SplitError("training split is empty: no user has the 4 interactions a training "
+                         "window needs (the first is context only, the last two are held out)")
     shuffle_rng = rng_streams.stream(config.seed, "shuffle", epoch)
     negatives_rng = rng_streams.stream(config.seed, "negatives", epoch)
     dropout_rng = rng_streams.stream(config.seed, "dropout", epoch)
@@ -165,7 +166,7 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
         store.zero_grads()
         # Overflow and NaN are caught by _check_finite, not reported by NumPy.
         with np.errstate(over="ignore", invalid="ignore"):
-            with ad.record() as tape:
+            with ad.record():
                 scores, _ = forward_batch(
                     store, contexts, users, candidates, mode="train", rng=dropout_rng
                 )
@@ -173,7 +174,6 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
                     ad.slice_cols(scores, 0, 1), ad.slice_cols(scores, 1, 1 + k)
                 )
             ad.backward(loss)
-            tape.records.clear()  # break the tape <-> tensor cycle: free the step now
             batch_loss = loss.item()
             _check_finite(batch_loss, store, epoch, step)
             adam_step(store, state, config.lr, config.l2)

@@ -1,7 +1,9 @@
 """Numeric core: op semantics, tape mechanics, gradients vs finite differences."""
 from __future__ import annotations
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -126,11 +128,13 @@ def test_backward_requires_taped_root():
 
 
 def test_backward_accumulation_is_linear():
-    # backward on two roots of one tape == sum of separate passes
+    # backward on two roots, each on its own tape, into one leaf == sum of
+    # separate passes into two leaves
     value = np.array([0.3, -1.2, 2.0])
     x = ad.parameter(value.copy())
     with ad.record():
         r1 = ad.sum_all(ad.mul(x, x))
+    with ad.record():
         r2 = ad.sum_all(ad.sigmoid(x))
     ad.backward(r1)
     ad.backward(r2)
@@ -363,15 +367,47 @@ def test_backward_frees_adjoints_and_leaf_grads_accumulate_across_roots():
     x = np.array([0.4, -0.7, 1.9])
     p = ad.parameter(x.copy())
     with ad.record() as tape:
-        h = ad.mul(p, p)
-        r1 = ad.sum_all(h)
-        r2 = ad.sum_all(ad.scale(h, 3.0))
+        r1 = ad.sum_all(ad.mul(p, p))
+    outs = [out for out, _ in tape.records]
     ad.backward(r1)
-    assert all(out.grad is None for out, _ in tape.records)
+    assert all(out.grad is None for out in outs)
     assert np.array_equal(p.grad, 2.0 * x)
+    with ad.record() as tape:
+        r2 = ad.sum_all(ad.scale(ad.mul(p, p), 3.0))
+    outs = [out for out, _ in tape.records]
     ad.backward(r2)
-    assert all(out.grad is None for out, _ in tape.records)
+    assert all(out.grad is None for out in outs)
     assert np.allclose(p.grad, 8.0 * x, rtol=1e-15, atol=0)
+
+
+def test_backward_releases_its_tape_so_the_step_is_freed_without_the_collector():
+    p = ad.parameter([0.5, -1.5])
+    gc.disable()
+    try:
+        with ad.record() as tape:
+            h = ad.sigmoid(p)
+            root = ad.sum_all(ad.mul(h, h))
+        h_value = weakref.ref(h.value)  # a Tensor has no weakref slot; its array does
+        del h
+        ad.backward(root)
+        assert tape.records == []
+        assert h_value() is None
+    finally:
+        gc.enable()
+    assert np.isfinite(p.grad).all() and np.any(p.grad != 0.0)
+
+
+def test_a_second_backward_on_a_consumed_tape_raises():
+    p = ad.parameter([2.0])
+    with ad.record():
+        h = ad.mul(p, p)
+        root = ad.sum_all(h)
+        other = ad.sum_all(ad.scale(h, 3.0))
+    ad.backward(root)
+    for again in (root, other):
+        with pytest.raises(ValueError, match="consumed"):
+            ad.backward(again)
+    assert np.array_equal(p.grad, [4.0])
 
 
 def test_records_that_do_not_reach_the_root_are_skipped():

@@ -374,6 +374,47 @@ def test_a_user_too_short_to_split_exits_1(base_config, tmp_path, command, capsy
     assert err.startswith("error: user 2 ('u2') has only 2 interaction") and err.count("\n") == 1
 
 
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_train_without_a_training_window_exits_1(base_config, tmp_path, capsys):
+    # each user's 3 items are one context item and the two held-out targets
+    data = tmp_path / "short.json"
+    data.write_text(dataset_text([[1, 2, 3], [2, 3, 4], [4, 5, 6], [5, 6, 7], [7, 1, 2]],
+                                 user_ids=[f"u{u}" for u in range(1, 6)],
+                                 item_ids=[f"i{i}" for i in range(1, 8)]))
+    out = tmp_path / "run"
+    assert run(["train", "--data", data, "--config", base_config, "--out", out]) == 1
+    assert "training split is empty" in one_error_line(capsys)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate-poprec"])
+def test_a_dataset_with_no_users_exits_1(base_config, tmp_path, command, capsys):
+    data = tmp_path / "empty.json"
+    data.write_text(dataset_text([], user_ids=[], item_ids=[]))
+    if command == "train":
+        args = ["train", "--data", data, "--config", base_config, "--out", tmp_path / "run"]
+    else:
+        args = ["evaluate", "--baseline", "poprec", "--seed", 1, "--data", data]
+    assert run(args) == 1
+    assert one_error_line(capsys) == f"error: {data}: dataset has no users\n"
+
+
+def test_evaluate_a_user_with_no_unseen_item_exits_1(tmp_path, capsys):
+    # each user saw all 6 items, so a target could only be ranked alone
+    data = tmp_path / "seen-all.json"
+    data.write_text(dataset_text([[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1],
+                                  [2, 4, 6, 1, 3, 5], [3, 1, 2, 6, 4, 5]],
+                                 user_ids=["u1", "u2", "u3", "u4"],
+                                 item_ids=[f"i{i}" for i in range(1, 7)]))
+    assert run(["evaluate", "--baseline", "poprec", "--seed", 1, "--data", data]) == 1
+    assert one_error_line(capsys).startswith("error: user 1 ('u1') has seen every item")
+
+
 def test_train_out_naming_a_file_exits_2(small_dataset, base_config, tmp_path, capsys):
     out = tmp_path / "run"
     out.write_text("not a directory\n")
@@ -476,3 +517,16 @@ def test_parallel_ablate_matches_sequential(small_dataset, tmp_path, monkeypatch
                 "--config", cfg, "--out", par_out]) == 0
     assert (seq_out / "ablation_output-gate.csv").read_bytes() == \
         (par_out / "ablation_output-gate.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["two", "0", ""])
+def test_ablate_bad_worker_count_exits_2_before_writing(small_dataset, tmp_path, monkeypatch,
+                                                        threads, capsys):
+    cfg = ablate_config(tmp_path)
+    out = tmp_path / "abl"
+    monkeypatch.setenv("QRSEQ_THREADS", threads)
+    assert run(["ablate", "--data", small_dataset, "--study", "output-gate",
+                "--config", cfg, "--out", out]) == 2
+    assert one_error_line(capsys) == \
+        f"error: QRSEQ_THREADS must be a positive integer, got {threads!r}\n"
+    assert not out.exists()

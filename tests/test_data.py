@@ -110,6 +110,13 @@ def test_dataset_load_rejects_unknown_version(tmp_path):
         InteractionLog.load(path)
 
 
+def test_dataset_load_rejects_a_dataset_with_no_users(tmp_path):
+    path = tmp_path / "d.json"
+    InteractionLog([], [], []).save(path)
+    with pytest.raises(EmptyDatasetError, match="no users"):
+        InteractionLog.load(path)
+
+
 def test_user_id_bounds_are_checked():
     log = InteractionLog.from_sequences([[1, 2, 3]], 3)
     with pytest.raises(IndexError):

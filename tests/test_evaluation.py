@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qrseq.data import InteractionLog, make_splits
-from qrseq.errors import ConfigError
+from qrseq.errors import ConfigError, SamplingError
 from qrseq.evaluation import (
     EvalConfig,
     evaluate,
@@ -214,6 +214,17 @@ def test_short_candidate_pool_falls_back_with_warning():
     assert len(report.warnings) == 3
     assert "negatives available" in report.warnings[0]
     assert all(rank == 9 for rank in report.ranks)  # 8 unseen items + target
+
+
+def test_a_user_with_no_unseen_item_fails_instead_of_ranking_the_target_alone():
+    log = InteractionLog.from_sequences([[1, 2, 3, 4], [2, 3, 1, 4, 5, 6], [4, 5, 6]], 6)
+    splits = make_splits(log, seq_len=5)
+    with pytest.raises(SamplingError, match=r"^user 2 \('u2'\) has seen every item"):
+        evaluate(TargetOracleScorer(), "test", log, splits, EvalConfig(seed=0, k=5))
+    # with no negatives asked for, every target is ranked alone by design
+    report = evaluate(TargetOracleScorer(), "test", log, splits,
+                      EvalConfig(seed=0, num_negatives=0, k=1))
+    assert report.ranks == [1, 1, 1] and report.warnings == []
 
 
 def test_nan_scores_rank_last_with_zero_recall():
