@@ -101,7 +101,7 @@ class InteractionLog:
         if not isinstance(data, dict):
             raise CompatibilityError(f"{path}: not a processed dataset (not a JSON object)")
         version = data.get("format_version")
-        if version != DATASET_VERSION:
+        if type(version) is not int or version != DATASET_VERSION:  # not JSON true or 1.0
             raise CompatibilityError(
                 f"{path}: dataset format version {version} not supported "
                 f"(expected {DATASET_VERSION})"
@@ -146,7 +146,10 @@ def _parse_csv(path: Path) -> tuple[list[RawInteraction], list[tuple[int, str]]]
             raise ParseError(
                 f"{path}: expected header {','.join(FIELDS)}, got {','.join(header)}", [1]
             )
-        for lineno, row in enumerate(reader, start=2):
+        # a quoted field can span lines, so a row is numbered by the line it starts on
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             parsed = _parse_row(dict(zip(FIELDS, row)) if len(row) == len(FIELDS) else None)
@@ -177,21 +180,31 @@ def _parse_jsonl(path: Path) -> tuple[list[RawInteraction], list[tuple[int, str]
     return records, bad
 
 
+def _id_field(value) -> str | None:
+    """A user or item id: a non-empty string, stripped, or a non-bool int."""
+    if isinstance(value, str):
+        return value.strip() or None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return None
+
+
 def _parse_row(row) -> RawInteraction | None:
+    """One rule for CSV and JSON-lines rows: the ids pass `_id_field`, the
+    rating is a finite number (or its string) and the timestamp a nonnegative
+    int (or a string `int()` accepts); any other row is malformed."""
     if row is None or any(f not in row for f in FIELDS):
+        return None
+    stamp = row["timestamp"]
+    if isinstance(row["rating"], bool) or type(stamp) not in (int, str):
         return None
     try:
         rating = float(row["rating"])
-        timestamp = int(row["timestamp"])
+        timestamp = int(stamp)
     except (TypeError, ValueError):
         return None
-    if isinstance(row["rating"], bool) or isinstance(row["timestamp"], bool):
-        return None
-    if timestamp < 0 or not np.isfinite(rating):
-        return None
-    user = str(row["user"]).strip()
-    item = str(row["item"]).strip()
-    if not user or not item:
+    user, item = _id_field(row["user"]), _id_field(row["item"])
+    if timestamp < 0 or not np.isfinite(rating) or user is None or item is None:
         return None
     return RawInteraction(user=user, item=item, rating=rating, timestamp=timestamp)
 

@@ -70,14 +70,19 @@ class MetricsReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def target_ranks(scores) -> np.ndarray:
+def target_ranks(scores, counts=None) -> np.ndarray:
     """1-based rank of column 0 in each row of a (U, C) score matrix.
 
-    Every other candidate not strictly below the target counts against it:
-    ties do, and so does a NaN on either side, so a NaN target ranks last.
+    Only the first ``counts[u]`` columns of row u are ranked (all of them
+    without `counts`); the columns after them are padding. Every other
+    ranked candidate not strictly below the target counts against it: ties
+    do, and so does a NaN on either side, so a NaN target ranks last.
     """
     s = np.asarray(scores, dtype=np.float64)
-    return 1 + (~(s[:, 1:] < s[:, :1])).sum(axis=1)
+    beaten = ~(s[:, 1:] < s[:, :1])
+    if counts is not None:
+        beaten &= np.arange(1, s.shape[1]) < np.asarray(counts)[:, None]
+    return 1 + beaten.sum(axis=1)
 
 
 def user_metrics(rank: int, k: int) -> tuple[float, float, float]:
@@ -104,9 +109,12 @@ def evaluate(scorer, split: str, log: InteractionLog, splits: SplitDataset,
     if len(users) == 0:
         raise ValueError(f"split {split!r} is empty")
     warnings: list[str] = []
-    candidate_rows: list[np.ndarray] = []
-    for user, target in zip(users, targets):
-        user = int(user)
+    # Target in column 0; a short user's row ends in copies of its target,
+    # scored but never ranked. No user has more unseen items than there are items.
+    width = 1 + min(config.num_negatives, log.item_count)
+    candidates = np.repeat(targets[:, None], width, axis=1)
+    counts = np.empty(len(users), dtype=np.intp)
+    for i, user in enumerate(users.tolist()):
         stream = rng_streams.stream(config.seed, "eval-candidates", split, user)
         available = log.item_count - len(log.seen_items(user))
         if available == 0 and config.num_negatives:
@@ -117,25 +125,15 @@ def evaluate(scorer, split: str, log: InteractionLog, splits: SplitDataset,
             warnings.append(
                 f"user {user}: only {n_neg} of {config.num_negatives} negatives available"
             )
-        negatives = sample_negatives(log, user, n_neg, stream)
-        candidate_rows.append(np.concatenate([[int(target)], negatives]))
+        candidates[i, 1:1 + n_neg] = sample_negatives(log, user, n_neg, stream)
+        counts[i] = 1 + n_neg
+    candidates = candidates[:, :counts.max()]
 
-    # Group by candidate count so each group scores as one rectangular batch.
-    by_width: dict[int, list[int]] = {}
-    for i, row in enumerate(candidate_rows):
-        by_width.setdefault(len(row), []).append(i)
-    group_ranks = np.empty(len(users), dtype=np.intp)
-    for rows in by_width.values():
-        sel = np.asarray(rows)
-        cand_matrix = np.stack([candidate_rows[i] for i in rows])
-        scored = np.asarray(scorer.score_batch(users[sel], contexts[sel], cand_matrix))
-        if scored.shape != cand_matrix.shape:
-            raise ValueError(
-                f"scorer returned shape {scored.shape} for candidates {cand_matrix.shape}"
-            )
-        group_ranks[sel] = target_ranks(scored)
+    scored = np.asarray(scorer.score_batch(users, contexts, candidates))
+    if scored.shape != candidates.shape:
+        raise ValueError(f"scorer returned shape {scored.shape} for candidates {candidates.shape}")
 
-    ranks = group_ranks.tolist()
+    ranks = target_ranks(scored, counts).tolist()
     ap_sum = recall_sum = ndcg_sum = 0.0
     for rank in ranks:
         ap, recall, ndcg = user_metrics(rank, config.k)

@@ -495,9 +495,10 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
         if not (isinstance(meta, dict) and "format_version" in meta
                 and isinstance(meta.get("config"), dict) and isinstance(meta.get("extra"), dict)):
             raise CompatibilityError(f"{path}: not a model checkpoint (malformed metadata)")
-        if meta["format_version"] != CHECKPOINT_VERSION:
+        version = meta["format_version"]
+        if type(version) is not int or version != CHECKPOINT_VERSION:  # not JSON true or 1.0
             raise CompatibilityError(
-                f"{path}: checkpoint format version {meta['format_version']} "
+                f"{path}: checkpoint format version {version} "
                 f"not supported (expected {CHECKPOINT_VERSION})"
             )
         stored = meta["config"]

@@ -160,11 +160,14 @@ def oracle_rank(candidate_ids, scores, target_id) -> int:
 
     Sorts the scores ascending and binary-searches the target's score:
     the pessimistic rank (target loses every tie) equals the number of
-    scores at or above it, target included.
+    scores at or above it, target included. NaN sorts above every number,
+    so a NaN negative counts against the target; a NaN target ranks last.
     """
     scores = np.asarray(scores, dtype=float)
     candidate_ids = np.asarray(candidate_ids)
     target_score = float(scores[candidate_ids == target_id][0])
+    if np.isnan(target_score):
+        return len(scores)
     ascending = np.sort(scores)
     below = int(np.searchsorted(ascending, target_score, side="left"))
     return len(scores) - below

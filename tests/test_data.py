@@ -58,15 +58,18 @@ def test_ingest_keeps_file_order(tmp_path):
 
 def test_ingest_strict_reports_line_numbers(tmp_path):
     path = tmp_path / "rows.csv"
-    path.write_text(
-        "user,item,rating,timestamp\nu1,a,5,3\nu1,b,not-a-number,4\nu1,c,3,2\n",
-        encoding="utf-8",
-    )
-    with pytest.raises(ParseError) as err:
-        ingest(path, strict=True)
-    assert err.value.lines == [3]
-    records, bad = ingest(path, strict=False)
-    assert len(records) == 2 and [ln for ln, _ in bad] == [3]
+    for text, bad_lines, kept in [
+        ("user,item,rating,timestamp\nu1,a,5,3\nu1,b,not-a-number,4\nu1,c,3,2\n", [3], 2),
+        # a quoted user id spans lines 3-4, so the bad row is on line 5
+        ('user,item,rating,timestamp\nu1,a,5,3\n"u\n2",i2,5,1\nu1,b,not-a-number,4\n'
+         'u1,c,3,2\n', [5], 3),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            ingest(path, strict=True)
+        assert err.value.lines == bad_lines
+        records, bad = ingest(path, strict=False)
+        assert len(records) == kept and [ln for ln, _ in bad] == bad_lines
 
 
 def test_ingest_rejects_wrong_header(tmp_path):
@@ -78,15 +81,23 @@ def test_ingest_rejects_wrong_header(tmp_path):
 
 def test_ingest_jsonl(tmp_path):
     path = tmp_path / "rows.jsonl"
+    row = {"user": "u1", "item": "a", "rating": 5, "timestamp": 3}
     lines = [
-        json.dumps({"user": "u1", "item": "a", "rating": 5, "timestamp": 3}),
+        json.dumps(row),
         "{broken",
-        json.dumps({"user": "u1", "item": "b", "rating": 4.5, "timestamp": -2}),
+        json.dumps({**row, "item": "b", "rating": 4.5, "timestamp": -2}),
+        # ids are non-empty strings or non-bool ints; timestamps are ints or int strings
+        json.dumps({**row, "user": None}),
+        json.dumps({**row, "item": [1, 2]}),
+        json.dumps({**row, "user": True}),
+        json.dumps({**row, "timestamp": 3.7}),
+        json.dumps({**row, "timestamp": 3.2}),
+        json.dumps({**row, "user": 7, "item": "c", "timestamp": "4"}),
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     records, bad = ingest(path, format="jsonl")
-    assert len(records) == 1  # negative timestamp is malformed too
-    assert [ln for ln, _ in bad] == [2, 3]
+    assert [(r.user, r.item, r.timestamp) for r in records] == [("u1", "a", 3), ("7", "c", 4)]
+    assert [ln for ln, _ in bad] == [2, 3, 4, 5, 6, 7, 8]
 
 
 def test_ingest_missing_file():
@@ -105,9 +116,10 @@ def test_dataset_load_rejects_unknown_version(tmp_path):
     from qrseq.errors import CompatibilityError
 
     path = tmp_path / "d.json"
-    path.write_text(json.dumps({"format_version": 99}), encoding="utf-8")
-    with pytest.raises(CompatibilityError, match="version"):
-        InteractionLog.load(path)
+    for version in (99, True, 1.0):  # JSON true and 1.0 are not the int 1
+        path.write_text(json.dumps({"format_version": version}), encoding="utf-8")
+        with pytest.raises(CompatibilityError, match="version"):
+            InteractionLog.load(path)
 
 
 def test_dataset_load_rejects_a_dataset_with_no_users(tmp_path):

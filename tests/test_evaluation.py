@@ -216,6 +216,47 @@ def test_short_candidate_pool_falls_back_with_warning():
     assert all(rank == 9 for rank in report.ranks)  # 8 unseen items + target
 
 
+def test_one_scoring_pass_ranks_each_user_among_its_own_candidates():
+    # 20 items; users 1 and 4 have 8 unseen, user 2 has 5, users 3 and 5 have 2,
+    # so with 6 negatives asked for the rows hold 7, 6 and 3 candidates
+    log = InteractionLog.from_sequences([list(range(1, 13)), list(range(1, 16)),
+                                         list(range(1, 19)), list(range(5, 17)),
+                                         list(range(3, 21))], 20)
+    splits = make_splits(log, seq_len=5)
+    config = EvalConfig(seed=0, num_negatives=6, k=5)
+
+    class Recording:
+        def __init__(self):
+            self.calls = []
+
+        def score_batch(self, user_ids, contexts, candidate_ids):
+            self.calls.append(np.array(candidate_ids))
+            return (np.asarray(candidate_ids) % 3).astype(float)  # ties aplenty
+
+    scorer = Recording()
+    report = evaluate(scorer, "test", log, splits, config)
+    assert len(scorer.calls) == 1
+    cands = scorer.calls[0]
+    assert cands.shape == (5, 7)
+
+    from qrseq import rng as rng_streams
+    from qrseq.data import sample_negatives
+
+    for i, count in enumerate([7, 6, 3, 7, 3]):
+        user, target = i + 1, int(splits.test_targets[i])
+        own = cands[i, :count]
+        assert own[0] == target and (cands[i, count:] == target).all()  # padding
+        stream = rng_streams.stream(config.seed, "eval-candidates", "test", user)
+        assert own[1:].tolist() == sample_negatives(log, user, count - 1, stream).tolist()
+        # the padding ties the target; ranked, it would count against it
+        assert report.ranks[i] == oracle_rank(own, own % 3, target)
+    assert report.warnings == [
+        "user 2: only 5 of 6 negatives available",
+        "user 3: only 2 of 6 negatives available",
+        "user 5: only 2 of 6 negatives available",
+    ]
+
+
 def test_a_user_with_no_unseen_item_fails_instead_of_ranking_the_target_alone():
     log = InteractionLog.from_sequences([[1, 2, 3, 4], [2, 3, 1, 4, 5, 6], [4, 5, 6]], 6)
     splits = make_splits(log, seq_len=5)

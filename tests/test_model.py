@@ -34,6 +34,7 @@ from helpers import (
     numeric_gradient,
     reference_forward,
     relative_errors,
+    rewrite_checkpoint,
     rewrite_config_keys,
 )
 
@@ -739,6 +740,15 @@ def test_checkpoint_config_keys_must_match(tmp_path, drop, add, named):
     with pytest.raises(CompatibilityError, match="not a model checkpoint") as err:
         load_checkpoint(path)
     assert named in str(err.value)
+
+
+@pytest.mark.parametrize("version", [2, True, 1.0])
+def test_checkpoint_rejects_a_version_that_is_not_the_int_1(tmp_path, version):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, small_store())
+    rewrite_checkpoint(path, lambda meta, arrays: meta.update(format_version=version))
+    with pytest.raises(CompatibilityError, match="checkpoint format version .* not supported"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
