@@ -43,6 +43,8 @@ class InteractionLog:
         self.user_ids = user_ids  # external id of internal user i+1
         self.item_ids = item_ids  # external id of internal item i+1
         self._seen: dict[int, np.ndarray] = {}
+        # evaluation.split_candidates' draws, one entry per split name
+        self._candidates: dict[str, tuple] = {}
 
     @property
     def user_count(self) -> int:

@@ -4,7 +4,8 @@ Each user's held-out target is ranked against a fixed number of sampled
 items the user never interacted with (100 by default, so 101 candidates).
 Ties count against the target, so a constant-output model cannot look
 good. Candidate draws come from a per-(seed, split, user) stream, making
-reports reproducible and comparable across epochs regardless of batching.
+reports reproducible and comparable across epochs regardless of batching,
+and are drawn once per log rather than once per evaluation.
 """
 from __future__ import annotations
 
@@ -95,22 +96,25 @@ def user_metrics(rank: int, k: int) -> tuple[float, float, float]:
     return ap, recall, ndcg
 
 
-def evaluate(scorer, split: str, log: InteractionLog, splits: SplitDataset,
-             config: EvalConfig) -> MetricsReport:
-    """Rank every user's held-out target among sampled unseen candidates.
+def split_candidates(log: InteractionLog, split: str, users: np.ndarray, targets: np.ndarray,
+                     config: EvalConfig) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Each user's candidates: (matrix, counts, shortfall warnings).
 
-    `scorer` only needs a ``score_batch(user_ids, contexts, candidate_ids)``
-    method returning a float array of the candidate shape, so trained
-    models and popularity baselines evaluate through the same path. A user
-    with fewer unseen items than `num_negatives` is ranked against all of
-    them, with a warning; one with none raises SamplingError.
+    Row i holds user i's target in column 0, then its sampled unseen items;
+    a short user's row ends in copies of its target, and counts[i] says how
+    many columns are its own. The draws depend only on the log, the seed,
+    the split, the user and `num_negatives`, so they are kept on the log,
+    one entry per split name, and a call with the same seed,
+    `num_negatives`, users and targets returns that entry. The arrays are
+    read-only. A user with no unseen item raises SamplingError, and nothing
+    is kept.
     """
-    users, contexts, targets = splits.split_arrays(split)
-    if len(users) == 0:
-        raise ValueError(f"split {split!r} is empty")
+    key = (config.seed, config.num_negatives, users.tobytes(), targets.tobytes())
+    kept = log._candidates.get(split)
+    if kept is not None and kept[0] == key:
+        return kept[1]
     warnings: list[str] = []
-    # Target in column 0; a short user's row ends in copies of its target,
-    # scored but never ranked. No user has more unseen items than there are items.
+    # No user has more unseen items than there are items.
     width = 1 + min(config.num_negatives, log.item_count)
     candidates = np.repeat(targets[:, None], width, axis=1)
     counts = np.empty(len(users), dtype=np.intp)
@@ -128,6 +132,33 @@ def evaluate(scorer, split: str, log: InteractionLog, splits: SplitDataset,
         candidates[i, 1:1 + n_neg] = sample_negatives(log, user, n_neg, stream)
         counts[i] = 1 + n_neg
     candidates = candidates[:, :counts.max()]
+    candidates.flags.writeable = counts.flags.writeable = False
+    entry = (candidates, counts, tuple(warnings))
+    log._candidates[split] = (key, entry)
+    return entry
+
+
+def evaluate(scorer, split: str, log: InteractionLog, splits: SplitDataset,
+             config: EvalConfig) -> MetricsReport:
+    """Rank every user's held-out target among sampled unseen candidates.
+
+    `scorer` only needs a ``score_batch(user_ids, contexts, candidate_ids)``
+    method returning a float array of the candidate shape, so trained
+    models and popularity baselines evaluate through the same path.
+    `candidate_ids` is one read-only (users, C) int matrix for the whole
+    split, with each user's target in column 0; the scorer must not write
+    into it (numpy raises ValueError if it tries). Columns past a short
+    user's own candidates repeat its target; they are scored but not
+    ranked. A user with fewer unseen items than `num_negatives` is ranked
+    against all of them, with a warning; one with none raises
+    SamplingError. Candidates are drawn once per log, split, seed and
+    `num_negatives` (`split_candidates`), so a repeated call only scores
+    and ranks.
+    """
+    users, contexts, targets = splits.split_arrays(split)
+    if len(users) == 0:
+        raise ValueError(f"split {split!r} is empty")
+    candidates, counts, warnings = split_candidates(log, split, users, targets, config)
 
     scored = np.asarray(scorer.score_batch(users, contexts, candidates))
     if scored.shape != candidates.shape:
@@ -150,7 +181,7 @@ def evaluate(scorer, split: str, log: InteractionLog, splits: SplitDataset,
         map=ap_sum / n,
         recall=recall_sum / n,
         ndcg=ndcg_sum / n,
-        warnings=warnings,
+        warnings=list(warnings),
     )
 
 

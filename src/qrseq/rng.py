@@ -23,5 +23,19 @@ def stream(seed: int, *labels) -> np.random.Generator:
     for label in labels:
         h.update(b"/")
         h.update(str(label).encode())
-    entropy = int.from_bytes(h.digest(), "big")
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(np.random.SeedSequence(entropy_words(h.digest())))
+
+
+def entropy_words(digest: bytes) -> np.ndarray:
+    """The 32-bit words numpy's SeedSequence makes of ``int.from_bytes(digest, "big")``.
+
+    Least significant word first, with the most significant zero words
+    dropped but at least one word kept, so the seeded state is the same as
+    for that int. Handing SeedSequence the words skips its int coercion,
+    which took two thirds of the call's time.
+    """
+    words = np.frombuffer(digest, dtype=">u4")[::-1].astype(np.uint32)
+    n = len(words)
+    while n > 1 and not words[n - 1]:
+        n -= 1
+    return words[:n]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,6 +327,116 @@ def test_report_json_takes_a_numpy_seed():
     assert type(config.seed) is int and type(config.num_negatives) is int
     report = evaluate(FixedScorer(), "test", log, splits, config)
     assert json.loads(report.to_json())["seed"] == 3
+
+
+# -- candidates drawn once per log ---------------------------------------------------
+
+
+@pytest.fixture()
+def draws(monkeypatch):
+    """Counts evaluation's negative draws and its eval-candidate streams."""
+    from qrseq import evaluation
+    from qrseq import rng as rng_streams
+
+    counts = {"negatives": 0, "streams": 0}
+    sample, stream = evaluation.sample_negatives, rng_streams.stream
+
+    def counting_sample(*args):
+        counts["negatives"] += 1
+        return sample(*args)
+
+    def counting_stream(seed, *labels):
+        counts["streams"] += labels[:1] == ("eval-candidates",)
+        return stream(seed, *labels)
+
+    monkeypatch.setattr(evaluation, "sample_negatives", counting_sample)
+    monkeypatch.setattr(rng_streams, "stream", counting_stream)
+    return counts
+
+
+def short_pool_setup():
+    """5 users over 20 items, 3 of them with fewer than 6 unseen items."""
+    sequences = [list(range(1, 13)), list(range(1, 16)), list(range(1, 19)),
+                 list(range(5, 17)), list(range(3, 21))]
+    log = InteractionLog.from_sequences(sequences, 20)
+    return log, make_splits(log, seq_len=5), EvalConfig(seed=0, num_negatives=6, k=5)
+
+
+def fresh_report(scorer, split, log, splits, config):
+    """The report of a log that has drawn nothing yet."""
+    fresh = InteractionLog(log.sequences, log.user_ids, log.item_ids)
+    return evaluate(scorer, split, fresh, splits, config)
+
+
+def test_a_second_evaluate_on_the_same_log_draws_nothing(draws):
+    log, splits, config = short_pool_setup()
+    first = evaluate(FixedScorer(), "test", log, splits, config)
+    assert draws == {"negatives": 5, "streams": 5}
+    second = evaluate(FixedScorer(), "test", log, splits, config)
+    assert draws == {"negatives": 5, "streams": 5}
+    assert second.to_json() == first.to_json()
+    assert second.to_json() == fresh_report(FixedScorer(), "test", log, splits, config).to_json()
+    assert second.warnings == first.warnings and len(first.warnings) == 3
+    want = list(first.warnings)
+    first.warnings.append("changed by a caller")  # each report owns its list
+    assert evaluate(FixedScorer(), "test", log, splits, config).warnings == want
+
+
+@pytest.mark.parametrize("split, change, kept", [
+    ("test", dict(seed=1), False),
+    ("test", dict(num_negatives=4), False),
+    ("validation", {}, True),
+], ids=["seed", "num-negatives", "split"])
+def test_another_seed_negatives_or_split_draws_again(draws, split, change, kept):
+    log, splits, config = short_pool_setup()
+    evaluate(FixedScorer(), "test", log, splits, config)
+    other = replace(config, **change)
+    report = evaluate(FixedScorer(), split, log, splits, other)
+    assert draws["streams"] == 10
+    # one entry per split name: the test split's first draws are kept only
+    # if the second call was on another split
+    evaluate(FixedScorer(), "test", log, splits, config)
+    assert draws["streams"] == (10 if kept else 15)
+    assert report.to_json() == fresh_report(FixedScorer(), split, log, splits, other).to_json()
+
+
+def test_a_scorer_cannot_write_into_the_candidates():
+    log, splits, config = short_pool_setup()
+
+    class Overwriting:
+        def score_batch(self, user_ids, contexts, candidate_ids):
+            candidate_ids[:, 1] = candidate_ids[:, 0]
+            return np.zeros(candidate_ids.shape)
+
+    for _ in range(2):
+        with pytest.raises(ValueError, match="read-only"):
+            evaluate(Overwriting(), "test", log, splits, config)
+    report = evaluate(FixedScorer(), "test", log, splits, config)
+    assert report.to_json() == fresh_report(FixedScorer(), "test", log, splits, config).to_json()
+
+
+def test_a_user_with_no_unseen_item_fails_on_every_call(draws):
+    log = InteractionLog.from_sequences([[1, 2, 3, 4], [2, 3, 1, 4, 5, 6], [4, 5, 6]], 6)
+    splits = make_splits(log, seq_len=5)
+    for calls in (1, 2):
+        with pytest.raises(SamplingError, match="^user 2 "):
+            evaluate(TargetOracleScorer(), "test", log, splits, EvalConfig(seed=0, k=5))
+        assert draws["streams"] == 2 * calls  # users 1 and 2, drawn again each call
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_a_fit_draws_each_users_candidates_once_per_split(draws, epochs):
+    from qrseq.model import ModelConfig
+    from qrseq.training import TrainConfig, fit
+
+    log = uniform_log(num_users=12, num_items=40, seq_len=8, seed=2)
+    model_config = ModelConfig(num_items=log.item_count, num_users=log.user_count,
+                               latent_dim=4, seq_len=3)
+    splits = make_splits(log, model_config.seq_len)
+    train_config = TrainConfig(seed=0, batch_size=64, base_epochs=epochs, max_epochs=epochs)
+    result = fit(log, splits, model_config, train_config, EvalConfig(seed=0, num_negatives=20))
+    assert result.epochs_run == epochs
+    assert draws["streams"] == 2 * log.user_count
 
 
 # -- poprec ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Property tests: the rank rule, one-pass evaluation and the leave-one-out
-splits against their independent oracles, over drawn inputs.
+splits against their independent oracles, evaluation's kept candidates
+against a fresh log's, and checkpoint round trips, over drawn inputs.
 
 Every test runs a fixed number of derandomized examples and keeps no
 example database, so each run draws the same examples.
@@ -12,8 +13,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrseq import rng as rng_streams
 from qrseq.data import InteractionLog, make_splits
 from qrseq.evaluation import EvalConfig, evaluate, target_ranks
+from qrseq.model import AGGREGATIONS, ModelConfig, ParameterStore, load_checkpoint, save_checkpoint
 from helpers import oracle_rank, reference_splits
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -95,6 +98,60 @@ def test_evaluate_scores_once_and_ranks_each_user_among_its_own_candidates(log, 
         f"user {u}: only {c - 1} of {negatives} negatives available"
         for u, c in enumerate(counts, start=1) if c - 1 < negatives
     ]
+
+
+@PROPERTY
+@given(small_logs(), st.lists(st.tuples(st.sampled_from(["validation", "test"]),
+                                        st.integers(0, 3), st.integers(0, 12)),
+                              min_size=1, max_size=5), st.data())
+def test_evaluate_on_one_log_reports_what_a_fresh_log_does(log, calls, data):
+    # each call on the one log may reuse what an earlier call drew; the
+    # fresh log draws everything anew
+    size = log.item_count + 1
+    table = data.draw(st.lists(SCORES, min_size=size, max_size=size))
+    splits = make_splits(log, seq_len=3)
+    for split, seed, negatives in calls + calls[:1]:
+        config = EvalConfig(seed=seed, num_negatives=negatives, k=1)
+        kept, fresh = ItemTableScorer(table), ItemTableScorer(table)
+        got = evaluate(kept, split, log, splits, config)
+        want = evaluate(fresh, split, InteractionLog.from_sequences(log.sequences, log.item_count),
+                        splits, config)
+        assert got.to_json() == want.to_json() and got.ranks == want.ranks
+        assert np.array_equal(kept.calls[0], fresh.calls[0])
+
+
+@st.composite
+def model_configs(draw):
+    """Every architecture switch a checkpoint stores, at d in {2, 4, 8}."""
+    seq_len = draw(st.integers(1, 5))
+    profile = draw(st.booleans())
+    scales = draw(st.lists(st.integers(1, seq_len), min_size=0 if profile else 1,
+                           max_size=seq_len))
+    return ModelConfig(num_items=draw(st.integers(1, 9)), num_users=draw(st.integers(1, 5)),
+                       latent_dim=draw(st.sampled_from([2, 4, 8])), seq_len=seq_len,
+                       scales=tuple(scales), num_layers=draw(st.integers(1, 4)),
+                       use_output_gate=draw(st.booleans()), use_user_profile=profile,
+                       aggregation=draw(st.sampled_from(AGGREGATIONS)),
+                       dropout=draw(st.floats(0.0, 0.99)))
+
+
+@PROPERTY
+@given(model_configs(), st.integers(0, 3), st.data())
+def test_checkpoints_round_trip_bit_exactly(tmp_path_factory, config, seed, data):
+    store = ParameterStore(config, rng_streams.stream(seed, "init"))
+    # any finite value survives: signed zeros, subnormals and the extremes too
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    for _ in range(data.draw(st.integers(0, 4))):
+        store.flat_values[data.draw(st.integers(0, store.flat_values.size - 1))] = data.draw(values)
+    path = tmp_path_factory.getbasetemp() / "round_trip.npz"
+    save_checkpoint(path, store, extra={"seed": seed})
+    loaded, extra = load_checkpoint(path)
+    assert loaded.config == config and extra == {"seed": seed}
+    want, got = store.named_parameters(), loaded.named_parameters()
+    assert list(got) == list(want)
+    for name, p in want.items():
+        assert got[name].value.dtype == p.value.dtype and got[name].value.shape == p.value.shape
+        assert got[name].value.tobytes() == p.value.tobytes(), name
 
 
 @PROPERTY
