@@ -37,8 +37,7 @@ and ``sum_col_blocks`` sums the blocks (the sum over time).
 ``np.errstate(over="ignore")``: exp(-x) overflows to inf for x below about
 -709, which yields 0, and the result is then clamped strictly inside
 (0, 1). ``softplus`` keeps the overflow-free exp(-|x|) form, whose term it
-needs for log1p anyway. ``is_recording()`` tells code that also runs off
-the tape (the model's evaluation scoring) whether an op could be taped.
+needs for log1p anyway.
 
 Everything is float64: the models are small and gradient checking at
 tight tolerances is unreliable in float32. One recording episode is
@@ -117,11 +116,6 @@ class Tape:
 
 def _active_tape() -> Tape | None:
     return getattr(_tls, "tape", None)
-
-
-def is_recording() -> bool:
-    """Whether a tape is recording on this thread, so ops may be taped."""
-    return _active_tape() is not None
 
 
 @contextmanager

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import atomic
-from .data import InteractionLog, ingest, make_splits, preprocess
+from .data import InteractionLog, first_non_utf8_line, ingest, make_splits, preprocess
 from .errors import CompatibilityError, ConfigError, QrseqError
 from .evaluation import EvalConfig, evaluate, poprec_baseline
 from .model import ModelConfig, ModelScorer, load_checkpoint, save_checkpoint
@@ -73,8 +73,12 @@ class RunConfig:
 
 def load_config_file(path) -> dict[str, str]:
     """Flat key = value lines; blank lines and #/; comments are skipped."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}:{first_non_utf8_line(path)}: not UTF-8 text") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(("#", ";")):
             continue
@@ -253,8 +257,10 @@ def cmd_evaluate(args) -> int:
         seq_len = cfg.seq_len
     flags = {"seed": args.seed, "num_negatives": args.num_negatives, "k": args.k}
     eval_cfg = replace(stored, **{key: v for key, v in flags.items() if v is not None})
-    splits = make_splits(log, seq_len)
-    report = evaluate(scorer, args.split, log, splits, eval_cfg)
+    # the held-out rows read each user's last seq_len + 2 items; the windows before go unbuilt
+    tails = InteractionLog([seq[-seq_len - 2:] for seq in log.sequences], log.user_ids,
+                           log.item_ids)
+    report = evaluate(scorer, args.split, log, make_splits(tails, seq_len), eval_cfg)
     text = report.to_json()
     if args.out:
         atomic.write_text(args.out, text)

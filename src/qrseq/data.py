@@ -135,30 +135,44 @@ class InteractionLog:
 # ingestion
 
 
+def first_non_utf8_line(path) -> int | None:
+    """The 1-based line holding a file's first byte that is not UTF-8 text,
+    None if it has none. The file is decoded whole, so the decoder's offset
+    is the file's (a streamed read reports one within its buffer)."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return raw.count(b"\n", 0, exc.start) + 1
+    return None
+
+
 def _parse_csv(path: Path) -> tuple[list[RawInteraction], list[tuple[int, str]]]:
     records: list[RawInteraction] = []
     bad: list[tuple[int, str]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return records, bad  # empty file
-        if [h.strip() for h in header] != list(FIELDS):
-            raise ParseError(
-                f"{path}: expected header {','.join(FIELDS)}, got {','.join(header)}", [1]
-            )
-        # a quoted field can span lines, so a row is numbered by the line it starts on
-        start = reader.line_num + 1
-        for row in reader:
-            lineno, start = start, reader.line_num + 1
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            parsed = _parse_row(dict(zip(FIELDS, row)) if len(row) == len(FIELDS) else None)
-            if parsed is None:
-                bad.append((lineno, ",".join(row)))
-            else:
-                records.append(parsed)
+    start = 1  # a quoted field can span lines, so a row is numbered by the line it starts on
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                return records, bad  # empty file
+            if [h.strip() for h in header] != list(FIELDS):
+                raise ParseError(
+                    f"{path}: expected header {','.join(FIELDS)}, got {','.join(header)}", [1]
+                )
+            start = reader.line_num + 1
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                parsed = _parse_row(dict(zip(FIELDS, row)) if len(row) == len(FIELDS) else None)
+                if parsed is None:
+                    bad.append((lineno, ",".join(row)))
+                else:
+                    records.append(parsed)
+    except csv.Error as exc:  # a field past the csv module's size limit
+        raise ParseError(f"{path}:{start}: {exc}", [start]) from None
     return records, bad
 
 
@@ -216,16 +230,19 @@ def ingest(path, format: str = "csv", strict: bool = False
     """Load raw interactions; returns (records, malformed (line, content) pairs).
 
     With strict=True any malformed row raises ParseError naming the lines.
+    A file that is not UTF-8 text, or a CSV field past the csv module's size
+    limit, raises ParseError naming the line either way.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
-    if format == "csv":
-        records, bad = _parse_csv(path)
-    elif format == "jsonl":
-        records, bad = _parse_jsonl(path)
-    else:
+    if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown input format {format!r}; expected csv or jsonl")
+    try:
+        records, bad = _parse_csv(path) if format == "csv" else _parse_jsonl(path)
+    except UnicodeDecodeError:
+        line = first_non_utf8_line(path)
+        raise ParseError(f"{path}:{line}: not UTF-8 text", [line]) from None
     if strict and bad:
         lines = [ln for ln, _ in bad]
         raise ParseError(f"{path}: {len(bad)} malformed row(s) at line(s) {lines}", lines)

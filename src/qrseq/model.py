@@ -21,9 +21,10 @@ Parameters are laid out for whole-model passes: a `ParameterStore` keeps
 every value in one flat float64 array and every gradient in another, and
 each parameter tensor's value and gradient are reshaped views into them.
 
-The head gathers each candidate's row on the tape. Off the tape, as in
-evaluation, it scores a catalogue small enough for the candidate count
-with one GEMM over every item instead (`predict_scores`).
+Every forward pass scores its candidates by gathering their head rows
+(`predict_scores`), on the tape or off it. Only evaluation (`ModelScorer`)
+scores a catalogue small enough for the candidate count with one GEMM
+over every item instead.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ INIT_STD = 0.01
 
 SCORE_CHUNK = 128  # users per eval-mode forward in ModelScorer
 
-# Off the tape, the head scores every item with one GEMM while the catalogue
+# ModelScorer scores every item with one GEMM while the catalogue
 # (num_items + 1 rows) has at most this many rows per candidate, and gathers
 # the candidates' rows beyond. The GEMM does num_items + 1 dot products per
 # user at BLAS speed; the gather copies C rows per user into a (B, C, 2d)
@@ -55,10 +56,7 @@ SCORE_CHUNK = 128  # users per eval-mode forward in ModelScorer
 # (float64, one OpenBLAS thread, 2-core VM) they took 0.5 against 13 ms at
 # 200 items, 9.9 against 15.4 ms at 5k and 39 against 16 ms at 20k. At
 # C = 21 and 41 the GEMM still won at 48 rows per candidate and lost at 95;
-# at C = 101 the two tied at 74. The gather side is taken by gradient
-# checks' loss passes (C = 3) on perfbench's catalog-20k (5k items): over
-# 10 paired runs its gradcheck_coords_per_s had a median of 362 with the
-# gather and 220 with the GEMM.
+# at C = 101 the two tied at 74.
 HEAD_GEMM_ROWS_PER_CANDIDATE = 50
 
 
@@ -295,21 +293,10 @@ def _aggregate(hidden: Sequence[Tensor], strategy: str, batch: int) -> Tensor:
     return total
 
 
-def predict_scores(o: Tensor, user_ids, store: ParameterStore, candidate_ids) -> Tensor:
-    """Score candidates against concat(sequence vector, user profile).
-
-    `o` is (d, B); `candidate_ids` is (B, C). Returns a (B, C) tensor.
-    With the user profile disabled, the profile half of the input is zero.
-
-    While a tape records, the scores are taped `rows_dot_cols` + `gather`
-    ops. Off the tape (evaluation, loss-only passes) a catalogue of at most
-    HEAD_GEMM_ROWS_PER_CANDIDATE rows per candidate is scored whole by
-    one GEMM and each user's candidates are picked from it, which is far
-    cheaper than gathering a (B, C, 2d) block of head rows; a larger
-    catalogue keeps the gather, whose cost does not grow with it. The two
-    paths sum the same products in another order, so their scores can
-    differ in the last bits.
-    """
+def _head_ids(store: ParameterStore, user_ids, candidate_ids
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Checked (B, C) candidate ids and (B,) user ids, as intp arrays; the
+    user ids are None (and unchecked) when the model has no user profile."""
     cands = np.asarray(candidate_ids, dtype=np.intp)
     if cands.ndim != 2 or cands.size == 0:
         raise ValueError(f"candidate_ids must be a nonempty (B, C) array, got shape {cands.shape}")
@@ -322,26 +309,25 @@ def predict_scores(o: Tensor, user_ids, store: ParameterStore, candidate_ids) ->
         users = np.asarray(user_ids, dtype=np.intp)
         if np.any((users < 1) | (users > store.config.num_users)):
             raise IndexError(f"user id out of range 1..{store.config.num_users}")
-    rows = store.config.num_items + 1
-    if not ad.is_recording() and rows <= HEAD_GEMM_ROWS_PER_CANDIDATE * cands.shape[1]:
-        d = o.shape[0]
-        z_rows = np.zeros((o.shape[1], 2 * d))  # z transposed: one row per user
-        z_rows[:, :d] = o.value.T
-        if users is not None:
-            z_rows[:, d:] = store.user_embeddings.value[users]
-        every_item = z_rows @ store.head_weights.value.T  # (B, rows)
-        picked = np.take_along_axis(every_item, cands, axis=1)
-        picked += store.head_bias.value[cands]
-        return ad.constant(picked)
+    return cands, users
+
+
+def predict_scores(o: Tensor, user_ids, store: ParameterStore, candidate_ids) -> Tensor:
+    """Score candidates against concat(sequence vector, user profile).
+
+    `o` is (d, B); `candidate_ids` is (B, C). Returns a (B, C) tensor made
+    by `rows_dot_cols` + `gather`, the same ops whether or not a tape
+    records. With the user profile disabled, the profile half of the input
+    is zero.
+    """
+    cands, users = _head_ids(store, user_ids, candidate_ids)
     if users is not None:
         profile = ad.transpose(ad.take_rows(store.user_embeddings, users))
     else:
         profile = ad.constant(np.zeros_like(o.value))
     z = ad.concat_rows(o, profile)
-    return ad.add(
-        ad.rows_dot_cols(store.head_weights, cands, z),
-        ad.gather(store.head_bias, cands),
-    )
+    return ad.add(ad.rows_dot_cols(store.head_weights, cands, z),
+                  ad.gather(store.head_bias, cands))
 
 
 # ---------------------------------------------------------------------------
@@ -367,89 +353,107 @@ def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
+def _encode(store: ParameterStore, item_ids, rng: np.random.Generator | None = None
+            ) -> tuple[Tensor, ForwardTrace]:
+    """The (d, B) sequence vector of a (B, L) id batch (0 = padding), and
+    its trace. With an `rng`, inverted dropout is applied to the embedded
+    inputs and to the combined vector, drawing masks from it."""
+    config = store.config
+    ids = np.asarray(item_ids, dtype=np.intp)
+    if ids.ndim != 2 or ids.shape[1] != config.seq_len:
+        raise ValueError(f"item_ids must be (B, {config.seq_len}), got shape {ids.shape}")
+    dropout = rng is not None and config.dropout > 0.0
+    trace = ForwardTrace()
+    if not config.scales:
+        return ad.constant(np.zeros((config.latent_dim, ids.shape[0]))), trace
+    batch, steps = ids.shape
+    x = _embed(store, ids)
+    if dropout:
+        # one draw per timestep in order, laid out time-major like x
+        mask = _dropout_mask((steps, config.latent_dim, batch), config.dropout, rng)
+        x = ad.mul(x, ad.constant(mask.transpose(1, 0, 2).reshape(config.latent_dim, -1)))
+
+    # every scale's first layer reads x: share its shifted prefixes
+    x_shifted = _shifted_inputs(x, batch, min(max(config.scales), steps))
+    hidden_seqs: list[Tensor] = []
+    for w in config.scales:
+        strace = trace.scales[w] = ScaleTrace(output_gates=[] if config.use_output_gate else None)
+        shifted = x_shifted
+        for layer in range(config.num_layers):
+            if layer:
+                shifted = _shifted_inputs(hidden, batch, min(w, steps))
+            forget = _conv_gate(shifted, store.forget_filters(w, layer),
+                                store.forget_bias(w, layer), batch)
+            output = None
+            if config.use_output_gate:
+                output = _conv_gate(shifted, store.output_filters(w, layer),
+                                    store.output_bias(w, layer), batch)
+                strace.output_gates.append(output.value)
+            hidden = _pool(shifted[0], forget, output, batch)
+            strace.forget_gates.append(forget.value)
+            strace.hidden.append(hidden.value)
+        hidden_seqs.append(hidden)
+
+    combined = _aggregate(hidden_seqs, config.aggregation, batch)
+    if dropout:
+        mask = _dropout_mask(combined.shape, config.dropout, rng)
+        combined = ad.mul(combined, ad.constant(mask))
+    return combined, trace
+
+
 def forward_batch(store: ParameterStore, item_ids, user_ids, candidate_ids,
                   mode: str = "eval", rng: np.random.Generator | None = None
                   ) -> tuple[Tensor, ForwardTrace]:
-    """Run the network over a batch.
+    """Run the network over a batch: `_encode`, then `predict_scores`.
 
     item_ids: (B, L) int, 0 = padding; user_ids: (B,); candidate_ids: (B, C).
     In "train" mode inverted dropout is applied to the embedded inputs and
     to the combined sequence vector, drawing masks from `rng`.
     """
-    config = store.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
-    ids = np.asarray(item_ids, dtype=np.intp)
-    if ids.ndim != 2 or ids.shape[1] != config.seq_len:
-        raise ValueError(f"item_ids must be (B, {config.seq_len}), got shape {ids.shape}")
-    if train and config.dropout > 0.0 and rng is None:
+    if train and store.config.dropout > 0.0 and rng is None:
         raise ValueError("train-mode forward needs an rng for dropout")
-
-    trace = ForwardTrace()
-    if config.scales:
-        batch, steps = ids.shape
-        x = _embed(store, ids)
-        if train and config.dropout > 0.0:
-            # one draw per timestep in order, laid out time-major like x
-            mask = _dropout_mask((steps, config.latent_dim, batch), config.dropout, rng)
-            x = ad.mul(x, ad.constant(mask.transpose(1, 0, 2).reshape(config.latent_dim, -1)))
-
-        # every scale's first layer reads x: share its shifted prefixes
-        x_shifted = _shifted_inputs(x, batch, min(max(config.scales), steps))
-        hidden_seqs: list[Tensor] = []
-        for w in config.scales:
-            strace = trace.scales[w] = ScaleTrace(
-                output_gates=[] if config.use_output_gate else None
-            )
-            shifted = x_shifted
-            for layer in range(config.num_layers):
-                if layer:
-                    shifted = _shifted_inputs(hidden, batch, min(w, steps))
-                forget = _conv_gate(
-                    shifted, store.forget_filters(w, layer), store.forget_bias(w, layer), batch
-                )
-                output = None
-                if config.use_output_gate:
-                    output = _conv_gate(
-                        shifted, store.output_filters(w, layer), store.output_bias(w, layer),
-                        batch,
-                    )
-                    strace.output_gates.append(output.value)
-                hidden = _pool(shifted[0], forget, output, batch)
-                strace.forget_gates.append(forget.value)
-                strace.hidden.append(hidden.value)
-            hidden_seqs.append(hidden)
-
-        combined = _aggregate(hidden_seqs, config.aggregation, batch)
-        if train and config.dropout > 0.0:
-            mask = _dropout_mask(combined.shape, config.dropout, rng)
-            combined = ad.mul(combined, ad.constant(mask))
-    else:
-        combined = ad.constant(np.zeros((config.latent_dim, ids.shape[0])))
-
-    scores = predict_scores(combined, user_ids, store, candidate_ids)
-    return scores, trace
+    combined, trace = _encode(store, item_ids, rng if train else None)
+    return predict_scores(combined, user_ids, store, candidate_ids), trace
 
 
 class ModelScorer:
     """Read-only eval-mode scoring interface used by the evaluation loop.
 
-    It scores SCORE_CHUNK users per forward pass, off the tape, so the head
-    takes its GEMM path for catalogues small enough (`predict_scores`).
+    It encodes SCORE_CHUNK users per pass, off the tape. A catalogue of at
+    most HEAD_GEMM_ROWS_PER_CANDIDATE rows per candidate is scored whole by
+    one GEMM per chunk and each user's candidates are picked from it, which
+    is far cheaper than gathering a (B, C, 2d) block of head rows; a larger
+    catalogue is scored by `predict_scores`, whose gather does not grow with
+    it. The two sum the same products in another order, so their scores can
+    differ in the last bits.
     """
 
     def __init__(self, store: ParameterStore):
         self.store = store
 
     def score_batch(self, user_ids, contexts, candidate_ids) -> np.ndarray:
-        cands = np.asarray(candidate_ids, dtype=np.intp)
+        store = self.store
+        cands, users = _head_ids(store, user_ids, candidate_ids)
+        gemm = store.config.num_items + 1 <= HEAD_GEMM_ROWS_PER_CANDIDATE * cands.shape[1]
+        d = store.config.latent_dim
         out = np.empty(cands.shape, dtype=np.float64)
-        for lo in range(0, len(cands), SCORE_CHUNK):  # forward_batch converts each id chunk
+        for lo in range(0, len(cands), SCORE_CHUNK):  # _encode converts each id chunk
             hi = lo + SCORE_CHUNK
             # keep no name for the trace: its arrays are freed before the next chunk
-            out[lo:hi] = forward_batch(self.store, contexts[lo:hi], user_ids[lo:hi],
-                                       cands[lo:hi])[0].value
+            o = _encode(store, contexts[lo:hi])[0]
+            if not gemm:
+                out[lo:hi] = predict_scores(o, user_ids[lo:hi], store, cands[lo:hi]).value
+                continue
+            z_rows = np.zeros((o.shape[1], 2 * d))  # z transposed: one row per user
+            z_rows[:, :d] = o.value.T
+            if users is not None:
+                z_rows[:, d:] = store.user_embeddings.value[users[lo:hi]]
+            every_item = z_rows @ store.head_weights.value.T  # (B, rows)
+            out[lo:hi] = np.take_along_axis(every_item, cands[lo:hi], axis=1)
+            out[lo:hi] += store.head_bias.value[cands[lo:hi]]
         return out
 
 

@@ -67,6 +67,37 @@ def test_preprocess_strict_flag_rejects_malformed(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_preprocess_an_input_that_is_not_utf8_exits_1(tmp_path, fmt, capsys):
+    # the bad byte sits past the first 8 KiB, which a streamed read decodes as one buffer
+    rows = [("u1", f"i{k % 40}", 5, k) for k in range(3000)]
+    if fmt == "csv":
+        lines = ["user,item,rating,timestamp"] + [",".join(map(str, row)) for row in rows]
+    else:
+        lines = [json.dumps(dict(zip(("user", "item", "rating", "timestamp"), row)))
+                 for row in rows]
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    raw = tmp_path / f"raw.{fmt}"
+    lines_before = 2499
+    cut = sum(len(line) + 1 for line in lines[:lines_before])
+    raw.write_bytes(text[:cut] + b"u\xe9" + text[cut + 2:])
+    out = tmp_path / "data.json"
+    assert run(["preprocess", "--input", raw, "--format", fmt, "--out", out]) == 1
+    assert one_error_line(capsys) == f"error: {raw}:{lines_before + 1}: not UTF-8 text\n"
+    assert not out.exists()
+
+
+def test_preprocess_a_csv_field_past_the_size_limit_exits_1(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("user,item,rating,timestamp\nu1,a,5,0\nu1," + "b" * 200_000 + ",5,1\n",
+                   encoding="utf-8")
+    out = tmp_path / "data.json"
+    assert run(["preprocess", "--input", raw, "--out", out]) == 1
+    assert one_error_line(capsys) == (
+        f"error: {raw}:3: field larger than field limit (131072)\n")
+    assert not out.exists()
+
+
 # -- train ------------------------------------------------------------------------
 
 
@@ -224,6 +255,35 @@ def test_evaluate_splits_use_different_targets(trained, small_dataset, capsys):
     test = json.loads(capsys.readouterr().out)
     assert val["split"] == "validation" and test["split"] == "test"
     assert (val["map"], val["ndcg_at_10"]) != (test["map"], test["ndcg_at_10"])
+
+
+def test_evaluate_reports_equal_the_full_split_reports(trained, small_dataset, capsys,
+                                                      monkeypatch):
+    from qrseq import cli
+    from qrseq.data import InteractionLog, make_splits
+    from qrseq.evaluation import EvalConfig, evaluate, poprec_baseline
+    from qrseq.model import ModelConfig, ModelScorer, load_checkpoint
+
+    built = []
+    monkeypatch.setattr(cli, "make_splits",
+                        lambda *a: built.append(make_splits(*a)) or built[-1])
+    log = InteractionLog.load(small_dataset)
+    store, extra = load_checkpoint(trained / "checkpoint.npz")
+    sources = [
+        (["--checkpoint", trained / "checkpoint.npz"], ModelScorer(store), store.config.seq_len,
+         EvalConfig(seed=extra["seed"], num_negatives=extra["eval_num_negatives"],
+                    k=extra["eval_k"])),
+        (["--baseline", "poprec", "--seed", 4], poprec_baseline(log), ModelConfig.seq_len,
+         EvalConfig(seed=4)),
+    ]
+    for args, scorer, seq_len, config in sources:
+        full = make_splits(log, seq_len)
+        for split in ("validation", "test"):
+            assert run(["evaluate", *args, "--data", small_dataset, "--split", split]) == 0
+            expected = evaluate(scorer, split, log, full, config).to_json()
+            assert capsys.readouterr().out == expected
+            # each user's 12 items give 9 windows; the command builds seq_len - 1 of them
+            assert len(built[-1].train_targets) == log.user_count * (seq_len - 1)
 
 
 def test_poprec_baseline_needs_no_checkpoint(small_dataset, capsys):
@@ -433,6 +493,19 @@ def test_input_file_naming_a_directory_exits_1(small_dataset, tmp_path, command,
     assert run(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_config_file_that_is_not_utf8_exits_2(small_dataset, tmp_path, command, capsys):
+    config = tmp_path / "run.ini"
+    config.write_bytes(b"seed = 9\n# caf\xe9 settings\nlatent_dim = 4\n")
+    out = tmp_path / "run"
+    args = [command, "--data", small_dataset, "--config", config, "--out", out]
+    if command == "ablate":
+        args += ["--study", "output-gate"]
+    assert run(args) == 2
+    assert one_error_line(capsys) == f"error: {config}:2: not UTF-8 text\n"
+    assert not out.exists()
 
 
 # -- ablate ------------------------------------------------------------------------

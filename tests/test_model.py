@@ -618,20 +618,38 @@ def test_model_scorer_frees_each_chunks_trace_before_the_next(monkeypatch):
     store = small_store(seed=5, use_output_gate=True)
     traces: list[weakref.ref] = []
     alive_at_call: list[int] = []
-    real = model.forward_batch
+    real = model._encode
 
     def tracked(*args, **kwargs):
         alive_at_call.append(sum(ref() is not None for ref in traces))
-        scores, trace = real(*args, **kwargs)
+        combined, trace = real(*args, **kwargs)
         traces.append(weakref.ref(trace))
-        return scores, trace
+        return combined, trace
 
-    monkeypatch.setattr(model, "forward_batch", tracked)
+    monkeypatch.setattr(model, "_encode", tracked)
     n = 2 * SCORE_CHUNK + 1
     rng = np.random.default_rng(5)
     ModelScorer(store).score_batch(rng.integers(1, 5, size=n), rng.integers(0, 13, size=(n, 4)),
                                    rng.integers(1, 13, size=(n, 3)))
     assert alive_at_call == [0, 0, 0]
+
+
+@pytest.mark.parametrize("profile", [True, False], ids=["profile", "no-profile"])
+def test_forward_batch_scores_are_bit_equal_on_and_off_the_tape(profile):
+    # a catalogue small enough that ModelScorer would score it with its GEMM
+    cfg = ModelConfig(num_items=60, num_users=8, latent_dim=16, num_layers=2,
+                      use_output_gate=True, use_user_profile=profile, aggregation="L+M",
+                      dropout=0.0)
+    assert cfg.num_items + 1 <= HEAD_GEMM_ROWS_PER_CANDIDATE * 3
+    store = ParameterStore(cfg, rng_streams.stream(23, "init"), init_std=0.3)
+    rng = np.random.default_rng(23)
+    ids = rng.integers(0, 61, size=(20, 5))
+    users = rng.integers(1, 9, size=20)
+    cands = rng.integers(1, 61, size=(20, 3))
+    off = forward_batch(store, ids, users, cands)[0].value
+    with ad.record():
+        on = forward_batch(store, ids, users, cands)[0].value
+    assert on.tobytes() == off.tobytes()
 
 
 # -- evaluation scoring --------------------------------------------------------------

@@ -35,6 +35,16 @@ def test_perfbench_smoke_check_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_gradcheck_workload_runs_the_criterion_1_configs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import criterion1_configs
+    from test_acceptance import gradient_check_configs
+
+    assert criterion1_configs() == gradient_check_configs(), (
+        "perfbench/workloads.py criterion1_configs and tests/test_acceptance.py "
+        "gradient_check_configs have drifted apart; gradcheck-c1 says it runs the latter")
+
+
 @pytest.mark.parametrize("which", ["default", "criterion-1"])
 def test_training_step_and_evaluation_call_every_traced_autodiff_op(monkeypatch, which):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
