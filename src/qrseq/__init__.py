@@ -3,7 +3,6 @@
 from .data import InteractionLog, RawInteraction, SplitDataset, ingest, make_splits, preprocess
 from .evaluation import EvalConfig, MetricsReport, evaluate, poprec_baseline
 from .model import (
-    ForwardTrace,
     ModelConfig,
     ModelScorer,
     ParameterStore,
@@ -19,7 +18,6 @@ __all__ = [
     "AdamState",
     "EvalConfig",
     "FitResult",
-    "ForwardTrace",
     "InteractionLog",
     "MetricsReport",
     "ModelConfig",

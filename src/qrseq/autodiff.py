@@ -26,6 +26,12 @@ to one input, which may write into it. A later contribution to a
 read-only adjoint makes a new array, and a step that writes into ``g``
 fails with numpy's read-only ``ValueError``.
 
+A training loop may pass one ``Workspace`` to ``record`` for every step:
+ops record into arrays taken from it, and ``backward`` gives it back each
+array of 64 KiB or more that it frees and nothing else references, so the
+steps reuse the same memory instead of returning it to the C allocator
+and faulting it back in. Values are the same with or without one.
+
 Besides elementwise and gather ops, three ops work on whole sequences laid
 out as (m, L*B) matrices whose column t*B + b holds timestep t of sequence
 b, so that one record covers every timestep: ``shifted_sum`` adds terms at
@@ -46,6 +52,7 @@ freely between threads once recording has finished.
 """
 from __future__ import annotations
 
+import sys
 import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -55,7 +62,12 @@ import numpy as np
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
 _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
+# A spare array smaller than this is not worth keeping: the C allocator
+# serves such sizes from its free lists without returning pages to the system.
+SPARE_MIN_BYTES = 1 << 16
+
 _tls = threading.local()
+_tls.workspace = None  # every op reads it, and a missing attribute is slow to look up
 
 
 class Tensor:
@@ -105,13 +117,56 @@ def parameter(value, grad: np.ndarray | None = None) -> Tensor:
     return t
 
 
+class Workspace:
+    """Arrays one recorded step leaves for the next to reuse.
+
+    A training loop passes the same workspace to `record` for each step.
+    `backward` gives it each adjoint it drops and, once the walk ends, each
+    forward value of the tape, keeping only arrays nothing else references;
+    the ops of the next step, and their backward steps, take their output
+    arrays from it by shape. So the steps reuse the same memory. Freed
+    instead, a step's arrays would go back to the C allocator, which returns
+    the top of its heap to the system once the free space there passes its
+    trim threshold, and the next step would fault every page in again.
+
+    What a step gives is what the next step may take; at the end of each
+    `backward`, what the step before gave and this one did not take is
+    dropped, so the workspace never holds more than one step's arrays.
+    """
+
+    __slots__ = ("_spare", "_given")
+
+    def __init__(self):
+        self._spare: dict[tuple[int, ...], list[np.ndarray]] = {}  # the last step's
+        self._given: dict[tuple[int, ...], list[np.ndarray]] = {}  # this step's
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray | None:
+        """A spare array of `shape` with stale entries, None if there is none."""
+        stack = self._spare.get(shape) or self._given.get(shape)
+        return stack.pop() if stack else None
+
+    def give(self, a: np.ndarray) -> None:
+        """Keep `a` if it is big enough, owns its data and the caller's one
+        local name is its only reference (with this parameter and
+        getrefcount's argument, three)."""
+        if (a.nbytes >= SPARE_MIN_BYTES and a.base is None and a.flags.c_contiguous
+                and sys.getrefcount(a) == 3):
+            a.flags.writeable = True
+            self._given.setdefault(a.shape, []).append(a)
+
+    def end_step(self) -> None:
+        """Drop what the last step gave and this one did not take."""
+        self._spare, self._given = self._given, {}
+
+
 class Tape:
     """Execution-ordered record of differentiable operations."""
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "workspace")
 
-    def __init__(self):
+    def __init__(self, workspace: Workspace | None = None):
         self.records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self.workspace = workspace
 
 
 def _active_tape() -> Tape | None:
@@ -119,16 +174,35 @@ def _active_tape() -> Tape | None:
 
 
 @contextmanager
-def record():
-    """Activate a fresh tape on this thread: ``with record() as tape: ...``"""
+def record(workspace: Workspace | None = None):
+    """Activate a fresh tape on this thread: ``with record() as tape: ...``
+
+    With a `workspace`, ops and the tape's `backward` take their output
+    arrays from it when it has one of the right shape.
+    """
     if _active_tape() is not None:
         raise RuntimeError("an autodiff tape is already active on this thread")
-    tape = Tape()
+    tape = Tape(workspace)
     _tls.tape = tape
+    _tls.workspace = workspace
     try:
         yield tape
     finally:
         _tls.tape = None
+        _tls.workspace = None
+
+
+def _new(shape: tuple[int, ...]) -> np.ndarray | None:
+    """An array for an op's output from this thread's workspace, None (numpy
+    allocates) without one. The op overwrites every entry."""
+    workspace = getattr(_tls, "workspace", None)
+    return None if workspace is None else workspace.take(shape)
+
+
+def _empty(shape: tuple[int, ...]) -> np.ndarray:
+    """`_new`'s array, or a new one; either way its entries are stale."""
+    out = _new(shape)
+    return np.empty(shape) if out is None else out
 
 
 def _track(out: Tensor, inputs: Sequence[Tensor], step) -> Tensor:
@@ -155,14 +229,26 @@ def backward(root: Tensor) -> None:
     if not tape.records:
         raise ValueError("backward root's tape was already consumed by an earlier backward")
     root.grad = np.ones_like(root.value)
+    workspace, outer = tape.workspace, getattr(_tls, "workspace", None)
+    _tls.workspace = workspace
     try:
         for out, step in reversed(tape.records):
             if out.grad is not None:
-                out.grad.flags.writeable = False  # so the step may hand it to any inputs
-                step(out.grad)
+                g = np.asarray(out.grad)  # a step on 0-d values may have made a numpy scalar
+                g.flags.writeable = False  # so the step may hand it to any inputs
+                step(g)
                 out.grad = None
+                if workspace is not None:
+                    workspace.give(g)
     finally:
+        _tls.workspace = outer
+        values = [out.value for out, _ in tape.records] if workspace is not None else []
         tape.records.clear()  # breaks the tensor -> tape -> records cycle
+        if workspace is not None:
+            while values:  # popped, so `value` is the caller's one reference
+                value = values.pop()
+                workspace.give(value)
+            workspace.end_step()
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -177,14 +263,15 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     elif t.grad.flags.writeable:
         t.grad += g
     else:
-        t.grad = t.grad + g
+        t.grad = np.add(t.grad, g, out=_new(t.grad.shape))
 
 
 def _adjoint(t: Tensor) -> np.ndarray:
     """`t`'s adjoint for an in-place (scatter) update: zero-filled on first
     use, copied first when it is read-only (shared with other adjoints)."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.value)
+        t.grad = _empty(t.shape)
+        t.grad.fill(0.0)
     elif not t.grad.flags.writeable:
         t.grad = t.grad.copy()
     return t.grad
@@ -224,21 +311,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require_2d("matmul", b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.value @ b.value)
+    out = Tensor(np.matmul(a.value, b.value, out=_new((a.shape[0], b.shape[1]))))
     av, bv = a.value, b.value
 
     def step(g):
         if a.requires_grad:
-            _accumulate(a, g @ bv.T)
+            _accumulate(a, np.matmul(g, bv.T, out=_new(av.shape)))
         if b.requires_grad:
-            _accumulate(b, av.T @ g)
+            _accumulate(b, np.matmul(av.T, g, out=_new(bv.shape)))
 
     return _track(out, (a, b), step)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("add", a, b)
-    out = Tensor(a.value + b.value)
+    out = Tensor(np.add(a.value, b.value, out=_new(a.shape)))
 
     def step(g):
         if a.requires_grad:
@@ -251,21 +338,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("mul", a, b)
-    out = Tensor(a.value * b.value)
+    out = Tensor(np.multiply(a.value, b.value, out=_new(a.shape)))
     av, bv = a.value, b.value
 
     def step(g):
         if a.requires_grad:
-            _accumulate(a, g * bv)
+            _accumulate(a, np.multiply(g, bv, out=_new(g.shape)))
         if b.requires_grad:
-            _accumulate(b, g * av)
+            _accumulate(b, np.multiply(g, av, out=_new(g.shape)))
 
     return _track(out, (a, b), step)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(a.value * c)
+    out = Tensor(np.multiply(a.value, c, out=_new(a.shape)))
 
     def step(g):
         if a.requires_grad:
@@ -280,11 +367,11 @@ def neg(a: Tensor) -> Tensor:
 
 def one_minus(a: Tensor) -> Tensor:
     """Elementwise 1 - a."""
-    out = Tensor(1.0 - a.value)
+    out = Tensor(np.subtract(1.0, a.value, out=_new(a.shape)))
 
     def step(g):
         if a.requires_grad:
-            _accumulate(a, -g)
+            _accumulate(a, np.negative(g, out=_new(g.shape)))
 
     return _track(out, (a,), step)
 
@@ -293,7 +380,8 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     """Stack along the leading axis; trailing dimensions must agree."""
     if a.value.shape[1:] != b.value.shape[1:]:
         raise ValueError(f"concat_rows trailing shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(np.concatenate([a.value, b.value], axis=0))
+    out = Tensor(np.concatenate([a.value, b.value], axis=0,
+                                out=_new((a.shape[0] + b.shape[0], *a.shape[1:]))))
     split = a.shape[0]
 
     def step(g):
@@ -310,7 +398,7 @@ def add_col(a: Tensor, col: Tensor) -> Tensor:
     _require_2d("add_col", a)
     if col.shape != (a.shape[0], 1):
         raise ValueError(f"add_col shape mismatch: {a.shape} vs column {col.shape}")
-    out = Tensor(a.value + col.value)
+    out = Tensor(np.add(a.value, col.value, out=_new(a.shape)))
 
     def step(g):
         if a.requires_grad:
@@ -326,7 +414,9 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     _require_2d("slice_cols", a)
     if not (0 <= start < stop <= a.shape[1]):
         raise ValueError(f"slice_cols bounds [{start}:{stop}] invalid for shape {a.shape}")
-    out = Tensor(a.value[:, start:stop].copy())
+    out_val = _empty((a.shape[0], stop - start))
+    np.copyto(out_val, a.value[:, start:stop])
+    out = Tensor(out_val)
 
     def step(g):
         if a.requires_grad:
@@ -337,7 +427,9 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     _require_2d("transpose", a)
-    out = Tensor(a.value.T.copy())
+    out_val = _empty(a.shape[::-1])
+    np.copyto(out_val, a.value.T)
+    out = Tensor(out_val)
 
     def step(g):
         if a.requires_grad:
@@ -362,7 +454,7 @@ def sigmoid(a: Tensor) -> Tensor:
     about -709, which gives 1 / inf = 0 before the clamp, so the overflow
     is expected and silenced. NaN stays NaN.
     """
-    out_val = np.negative(a.value)
+    out_val = np.negative(a.value, out=_new(a.shape))
     with np.errstate(over="ignore"):
         np.exp(out_val, out=out_val)
     out_val += 1.0
@@ -372,7 +464,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            d = np.subtract(1.0, out_val)  # g * s * (1 - s) in one buffer
+            d = np.subtract(1.0, out_val, out=_new(out_val.shape))  # g * s * (1 - s), one buffer
             d *= out_val
             d *= g
             _accumulate(a, d)
@@ -420,7 +512,8 @@ def take_rows(a: Tensor, indices) -> Tensor:
     if idx.ndim != 1:
         raise ValueError(f"take_rows expects 1-d indices, got shape {idx.shape}")
     _check_indices("take_rows", idx, a.shape[0])
-    out = Tensor(a.value[idx])
+    # checked above, so "clip" changes no index; it lets numpy write `out` unbuffered
+    out = Tensor(np.take(a.value, idx, axis=0, out=_new((len(idx), a.shape[1])), mode="clip"))
 
     def step(g):
         if a.requires_grad:
@@ -470,7 +563,7 @@ def rows_dot_cols(w: Tensor, indices, z: Tensor) -> Tensor:
             contrib = g[:, :, None] * zv.T[:, None, :]
             _scatter_add(_adjoint(w), idx.ravel(), contrib.reshape(-1, dim))
         if z.requires_grad:
-            _accumulate(z, np.einsum("bc,bcd->db", g, rows))
+            _accumulate(z, np.einsum("bc,bcd->db", g, rows, out=_new(zv.shape)))
 
     return _track(out, (w, z), step)
 
@@ -507,7 +600,7 @@ def shifted_sum(terms: Sequence[Tensor], offsets: Sequence[int]) -> Tensor:
         if t.shape != (rows, n - o):
             raise ValueError(f"shifted_sum term at offset {o} has shape {t.shape}, "
                              f"expected {(rows, n - o)}")
-    out_val = np.empty((rows, n))
+    out_val = _empty((rows, n))
     covered = n  # columns from `covered` on are set
     for t, o in zip(terms, offsets):
         out_val[:, o:covered] = t.value[:, :covered - o]
@@ -532,7 +625,7 @@ def gated_scan(f: Tensor, take: Tensor, width: int) -> Tensor:
     _require_same_shape("gated_scan", f, take)
     _require_blocks("gated_scan", f, width)
     fv = f.value
-    c = np.empty_like(take.value)
+    c = _empty(take.shape)
     c[:, :width] = take.value[:, :width]
     n = c.shape[1]
     for lo in range(width, n, width):
@@ -543,7 +636,7 @@ def gated_scan(f: Tensor, take: Tensor, width: int) -> Tensor:
     out = Tensor(c)
 
     def step(g):
-        dc = np.empty_like(g)  # adjoint of each c_t: g_t plus what c_{t+1} passes back
+        dc = _empty(g.shape)  # adjoint of each c_t: g_t plus what c_{t+1} passes back
         dc[:, n - width:] = g[:, n - width:]
         for lo in range(n - 2 * width, -1, -width):
             hi = lo + width
@@ -551,7 +644,7 @@ def gated_scan(f: Tensor, take: Tensor, width: int) -> Tensor:
             np.multiply(fv[:, hi:hi + width], dc[:, hi:hi + width], out=cur)
             cur += g[:, lo:hi]
         if f.requires_grad:
-            df = np.empty_like(dc)
+            df = _empty(dc.shape)
             df[:, :width] = 0.0
             np.multiply(dc[:, width:], c[:, :-width], out=df[:, width:])
             _accumulate(f, df)
@@ -564,13 +657,16 @@ def gated_scan(f: Tensor, take: Tensor, width: int) -> Tensor:
 def sum_col_blocks(a: Tensor, width: int) -> Tensor:
     """Sum the column blocks of `width` of a 2-d tensor, first block first."""
     blocks = _require_blocks("sum_col_blocks", a, width)
-    total = a.value[:, :width].copy()
+    total = _empty((a.shape[0], width))
+    np.copyto(total, a.value[:, :width])
     for lo in range(width, a.shape[1], width):
         total += a.value[:, lo:lo + width]
     out = Tensor(total)
 
     def step(g):
         if a.requires_grad:
-            _accumulate(a, np.tile(g, (1, blocks)))
+            tiled = _empty(a.shape)  # g in every block
+            np.copyto(tiled.reshape(-1, blocks, width), g[:, None, :])
+            _accumulate(a, tiled)
 
     return _track(out, (a,), step)

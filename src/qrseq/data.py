@@ -98,7 +98,7 @@ class InteractionLog:
     def load(cls, path) -> "InteractionLog":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8 text, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise CompatibilityError(f"{path}: not a processed dataset ({exc})") from None
         if not isinstance(data, dict):
             raise CompatibilityError(f"{path}: not a processed dataset (not a JSON object)")
@@ -185,7 +185,7 @@ def _parse_jsonl(path: Path) -> tuple[list[RawInteraction], list[tuple[int, str]
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):  # RecursionError: nested too deep
                 bad.append((lineno, line.strip()))
                 continue
             parsed = _parse_row(obj) if isinstance(obj, dict) else None
@@ -262,11 +262,13 @@ def preprocess(records: list[RawInteraction], min_rating: float = 3,
     scanning users in id order through their time-sorted sequences, which
     makes the mapping reproducible and idempotent. Every user kept needs
     the 3 interactions the leave-one-out split takes, so min_interactions
-    must be at least 3.
+    must be at least 3, and min_rating must be finite.
     """
     if min_interactions < 3:
         raise ConfigError(f"min_interactions must be >= 3 (a training, a validation and a "
                           f"test item per user), got {min_interactions}")
+    if not np.isfinite(min_rating):
+        raise ConfigError(f"min_rating must be finite, got {min_rating}")
     kept = [r for r in records if r.rating >= min_rating]
     by_user: dict[str, list[RawInteraction]] = {}
     for r in kept:

@@ -15,11 +15,15 @@ one GEMM per tap over every timestep it reaches (tap k reads the columns
 before the last k*B), summed at column offset k*B by `ad.shifted_sum`;
 only the pooling recurrence runs step by step, inside `ad.gated_scan`.
 So a training step records one tape entry per stage, not one per
-timestep.
+timestep. The encoder (`_encode`) returns the (d, B) sequence vector and
+nothing else: its gate and hidden sequences are kept only by a tape that
+records them, until `backward`.
 
 Parameters are laid out for whole-model passes: a `ParameterStore` keeps
 every value in one flat float64 array and every gradient in another, and
 each parameter tensor's value and gradient are reshaped views into them.
+A gate's parameter names are built in one place, `_gate_names`, which the
+layout and `ParameterStore.gate` both read.
 
 Every forward pass scores its candidates by gathering their head rows
 (`predict_scores`), on the tape or off it. Only evaluation (`ModelScorer`)
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -107,6 +111,13 @@ class ModelConfig:
             raise ConfigError("empty scales require use_user_profile=true")
 
 
+def _gate_names(kind: str, width: int, layer: int) -> tuple[list[str], str]:
+    """The parameter names of one gate ("forget" or "output") of a scale
+    and layer: its filters, tap 0 first, and its bias."""
+    return ([f"{kind}_w{width}_l{layer}_k{i}" for i in range(width)],
+            f"{kind}_bias_w{width}_l{layer}")
+
+
 def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int, bool]]:
     """(name, shape, size, drawn) of every parameter, in storage order;
     `drawn` tensors start from the initial normal draw, the rest at zero."""
@@ -120,9 +131,9 @@ def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], int, bool]]
     for w in config.scales:
         for layer in range(config.num_layers):
             for gate in gates:
-                entries += [(f"{gate}_w{w}_l{layer}_k{i}", (d, d), d * d, True)
-                            for i in range(w)]
-                entries.append((f"{gate}_bias_w{w}_l{layer}", (d, 1), d, False))
+                filters, bias = _gate_names(gate, w, layer)
+                entries += [(name, (d, d), d * d, True) for name in filters]
+                entries.append((bias, (d, 1), d, False))
     entries.append(("head_weights", (items, 2 * d), items * 2 * d, True))
     entries.append(("head_bias", (items,), items, False))
     return entries
@@ -193,17 +204,10 @@ class ParameterStore:
     def head_bias(self) -> Tensor:
         return self._params["head_bias"]
 
-    def forget_filters(self, scale: int, layer: int) -> list[Tensor]:
-        return [self._params[f"forget_w{scale}_l{layer}_k{i}"] for i in range(scale)]
-
-    def forget_bias(self, scale: int, layer: int) -> Tensor:
-        return self._params[f"forget_bias_w{scale}_l{layer}"]
-
-    def output_filters(self, scale: int, layer: int) -> list[Tensor]:
-        return [self._params[f"output_w{scale}_l{layer}_k{i}"] for i in range(scale)]
-
-    def output_bias(self, scale: int, layer: int) -> Tensor:
-        return self._params[f"output_bias_w{scale}_l{layer}"]
+    def gate(self, kind: str, scale: int, layer: int) -> tuple[list[Tensor], Tensor]:
+        """(filters, bias) of a "forget" or "output" gate."""
+        filters, bias = _gate_names(kind, scale, layer)
+        return [self._params[name] for name in filters], self._params[bias]
 
     def named_parameters(self) -> dict[str, Tensor]:
         return self._params
@@ -334,38 +338,21 @@ def predict_scores(o: Tensor, user_ids, store: ParameterStore, candidate_ids) ->
 # full forward pass
 
 
-@dataclass
-class ScaleTrace:
-    """Values recorded for one scale, one entry per layer: the graph's own
-    (d, L*B) array of that layer's gate or hidden state."""
-
-    forget_gates: list[np.ndarray] = field(default_factory=list)
-    hidden: list[np.ndarray] = field(default_factory=list)
-    output_gates: list[np.ndarray] | None = None
-
-
-@dataclass
-class ForwardTrace:
-    scales: dict[int, ScaleTrace] = field(default_factory=dict)
-
-
 def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def _encode(store: ParameterStore, item_ids, rng: np.random.Generator | None = None
-            ) -> tuple[Tensor, ForwardTrace]:
-    """The (d, B) sequence vector of a (B, L) id batch (0 = padding), and
-    its trace. With an `rng`, inverted dropout is applied to the embedded
-    inputs and to the combined vector, drawing masks from it."""
+def _encode(store: ParameterStore, item_ids, rng: np.random.Generator | None = None) -> Tensor:
+    """The (d, B) sequence vector of a (B, L) id batch (0 = padding). With
+    an `rng`, inverted dropout is applied to the embedded inputs and to the
+    combined vector, drawing masks from it."""
     config = store.config
     ids = np.asarray(item_ids, dtype=np.intp)
     if ids.ndim != 2 or ids.shape[1] != config.seq_len:
         raise ValueError(f"item_ids must be (B, {config.seq_len}), got shape {ids.shape}")
     dropout = rng is not None and config.dropout > 0.0
-    trace = ForwardTrace()
     if not config.scales:
-        return ad.constant(np.zeros((config.latent_dim, ids.shape[0]))), trace
+        return ad.constant(np.zeros((config.latent_dim, ids.shape[0])))
     batch, steps = ids.shape
     x = _embed(store, ids)
     if dropout:
@@ -377,36 +364,31 @@ def _encode(store: ParameterStore, item_ids, rng: np.random.Generator | None = N
     x_shifted = _shifted_inputs(x, batch, min(max(config.scales), steps))
     hidden_seqs: list[Tensor] = []
     for w in config.scales:
-        strace = trace.scales[w] = ScaleTrace(output_gates=[] if config.use_output_gate else None)
         shifted = x_shifted
         for layer in range(config.num_layers):
             if layer:
                 shifted = _shifted_inputs(hidden, batch, min(w, steps))
-            forget = _conv_gate(shifted, store.forget_filters(w, layer),
-                                store.forget_bias(w, layer), batch)
+            forget = _conv_gate(shifted, *store.gate("forget", w, layer), batch)
             output = None
             if config.use_output_gate:
-                output = _conv_gate(shifted, store.output_filters(w, layer),
-                                    store.output_bias(w, layer), batch)
-                strace.output_gates.append(output.value)
+                output = _conv_gate(shifted, *store.gate("output", w, layer), batch)
             hidden = _pool(shifted[0], forget, output, batch)
-            strace.forget_gates.append(forget.value)
-            strace.hidden.append(hidden.value)
         hidden_seqs.append(hidden)
 
     combined = _aggregate(hidden_seqs, config.aggregation, batch)
     if dropout:
         mask = _dropout_mask(combined.shape, config.dropout, rng)
         combined = ad.mul(combined, ad.constant(mask))
-    return combined, trace
+    return combined
 
 
 def forward_batch(store: ParameterStore, item_ids, user_ids, candidate_ids,
                   mode: str = "eval", rng: np.random.Generator | None = None
-                  ) -> tuple[Tensor, ForwardTrace]:
+                  ) -> tuple[Tensor, Tensor]:
     """Run the network over a batch: `_encode`, then `predict_scores`.
 
     item_ids: (B, L) int, 0 = padding; user_ids: (B,); candidate_ids: (B, C).
+    Returns the (B, C) scores and the (d, B) sequence vector they score.
     In "train" mode inverted dropout is applied to the embedded inputs and
     to the combined sequence vector, drawing masks from `rng`.
     """
@@ -415,20 +397,21 @@ def forward_batch(store: ParameterStore, item_ids, user_ids, candidate_ids,
     train = mode == "train"
     if train and store.config.dropout > 0.0 and rng is None:
         raise ValueError("train-mode forward needs an rng for dropout")
-    combined, trace = _encode(store, item_ids, rng if train else None)
-    return predict_scores(combined, user_ids, store, candidate_ids), trace
+    combined = _encode(store, item_ids, rng if train else None)
+    return predict_scores(combined, user_ids, store, candidate_ids), combined
 
 
 class ModelScorer:
     """Read-only eval-mode scoring interface used by the evaluation loop.
 
-    It encodes SCORE_CHUNK users per pass, off the tape. A catalogue of at
-    most HEAD_GEMM_ROWS_PER_CANDIDATE rows per candidate is scored whole by
-    one GEMM per chunk and each user's candidates are picked from it, which
-    is far cheaper than gathering a (B, C, 2d) block of head rows; a larger
-    catalogue is scored by `predict_scores`, whose gather does not grow with
-    it. The two sum the same products in another order, so their scores can
-    differ in the last bits.
+    It encodes SCORE_CHUNK users per pass, off the tape, so a chunk's gate
+    and hidden arrays are freed before the next chunk is encoded. A
+    catalogue of at most HEAD_GEMM_ROWS_PER_CANDIDATE rows per candidate is
+    scored whole by one GEMM per chunk and each user's candidates are picked
+    from it, which is far cheaper than gathering a (B, C, 2d) block of head
+    rows; a larger catalogue is scored by `predict_scores`, whose gather
+    does not grow with it. The two sum the same products in another order,
+    so their scores can differ in the last bits.
     """
 
     def __init__(self, store: ParameterStore):
@@ -442,8 +425,7 @@ class ModelScorer:
         out = np.empty(cands.shape, dtype=np.float64)
         for lo in range(0, len(cands), SCORE_CHUNK):  # _encode converts each id chunk
             hi = lo + SCORE_CHUNK
-            # keep no name for the trace: its arrays are freed before the next chunk
-            o = _encode(store, contexts[lo:hi])[0]
+            o = _encode(store, contexts[lo:hi])
             if not gemm:
                 out[lo:hi] = predict_scores(o, user_ids[lo:hi], store, cands[lo:hi]).value
                 continue
@@ -494,7 +476,7 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
             raise CompatibilityError(f"{path}: not a model checkpoint (missing metadata)")
         try:
             meta = json.loads(str(bundle["__meta__"]))
-        except ValueError:  # not JSON, or an entry numpy cannot read
+        except (ValueError, RecursionError):  # not JSON, nested too deep, or unreadable
             meta = None
         if not (isinstance(meta, dict) and "format_version" in meta
                 and isinstance(meta.get("config"), dict) and isinstance(meta.get("extra"), dict)):

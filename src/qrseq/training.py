@@ -153,8 +153,11 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
     k = config.negatives_per_target
 
     total_loss = 0.0
+    workspace = ad.Workspace()  # the steps reuse one another's arrays
     for step, lo in enumerate(range(0, n, config.batch_size), start=1):
         batch = order[lo:lo + config.batch_size]
+        if len(batch) < config.batch_size:
+            workspace = None  # a short last batch has other shapes: free the others' arrays
         users = splits.train_users[batch]
         contexts = splits.train_contexts[batch]
         targets = splits.train_targets[batch]
@@ -166,7 +169,7 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
         store.zero_grads()
         # Overflow and NaN are caught by _check_finite, not reported by NumPy.
         with np.errstate(over="ignore", invalid="ignore"):
-            with ad.record():
+            with ad.record(workspace):
                 scores, _ = forward_batch(
                     store, contexts, users, candidates, mode="train", rng=dropout_rng
                 )

@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from qrseq import autodiff as ad
+from qrseq import model
 from qrseq import rng as rng_streams
 from qrseq.data import InteractionLog, SplitDataset
 from qrseq.model import ModelConfig, ParameterStore, forward_batch, predict_scores
@@ -132,11 +134,10 @@ def reference_forward(store: ParameterStore, item_ids, user_ids, candidate_ids) 
     for w in config.scales:
         hidden = columns
         for layer in range(config.num_layers):
-            f_gates = conv(hidden, store.forget_filters(w, layer), store.forget_bias(w, layer))
+            f_gates = conv(hidden, *store.gate("forget", w, layer))
             o_gates = None
             if config.use_output_gate:
-                o_gates = conv(hidden, store.output_filters(w, layer),
-                               store.output_bias(w, layer))
+                o_gates = conv(hidden, *store.gate("output", w, layer))
             states, cell = [], None
             for t, (x_t, f_t) in enumerate(zip(hidden, f_gates)):
                 take = ad.mul(ad.one_minus(f_t), x_t)
@@ -153,6 +154,28 @@ def reference_forward(store: ParameterStore, item_ids, user_ids, candidate_ids) 
     if outer == "M":
         combined = ad.scale(combined, 1.0 / len(per_scale))
     return predict_scores(combined, user_ids, store, candidate_ids)
+
+
+def pooled_values(store: ParameterStore, item_ids
+                  ) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
+    """The (forget, output, hidden) values of an eval-mode forward over a
+    (B, L) id batch, one tuple per (scale, layer) in `config.scales` x
+    layers order, read by wrapping `model._pool` through monkeypatch.
+    Each is (d, L*B), time-major; output is None without output gates."""
+    pooled = []
+    real = model._pool
+
+    def recording(x, forget, output, batch):
+        hidden = real(x, forget, output, batch)
+        pooled.append((forget.value, None if output is None else output.value, hidden.value))
+        return hidden
+
+    ids = np.asarray(item_ids)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_pool", recording)
+        forward_batch(store, ids, np.ones(len(ids), dtype=np.intp),
+                      np.ones((len(ids), 1), dtype=np.intp))
+    return pooled
 
 
 def oracle_rank(candidate_ids, scores, target_id) -> int:

@@ -28,6 +28,7 @@ from helpers import (
     model_loss_case,
     numeric_gradient,
     oracle_rank,
+    pooled_values,
     relative_errors,
 )
 
@@ -127,20 +128,14 @@ def test_criterion_3_causality():
         bumped[0, t_perturb] = 1 + (bumped[0, t_perturb] % 20)
         if bumped[0, t_perturb] == ids[0, t_perturb]:
             continue
-        _, base = forward_batch(store, ids, [1], [[2]])
-        _, other = forward_batch(store, bumped, [1], [[2]])
-        for w, stale in base.scales.items():
-            alt = other.scales[w]
-            for layer in range(len(stale.forget_gates)):
-                for t in range(t_perturb):
-                    same_gate = np.array_equal(
-                        stale.forget_gates[layer][:, t], alt.forget_gates[layer][:, t]
-                    )
-                    same_hidden = np.array_equal(
-                        stale.hidden[layer][:, t], alt.hidden[layer][:, t]
-                    )
-                    if not (same_gate and same_hidden):
-                        violations += 1
+        base = pooled_values(store, ids)
+        other = pooled_values(store, bumped)
+        for (forget, _, hidden), (alt_forget, _, alt_hidden) in zip(base, other, strict=True):
+            for t in range(t_perturb):
+                same_gate = np.array_equal(forget[:, t], alt_forget[:, t])
+                same_hidden = np.array_equal(hidden[:, t], alt_hidden[:, t])
+                if not (same_gate and same_hidden):
+                    violations += 1
         cases += 1
     report_criterion(
         "criterion 3: gates and states are causal",

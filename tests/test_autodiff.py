@@ -229,6 +229,9 @@ def test_gradients_of_simple_ops():
     _check_op_gradient(lambda x: ad.transpose(x), a)
     _check_op_gradient(lambda x: ad.slice_cols(x, 1, 3), a)
     _check_op_gradient(lambda x, y: ad.add_col(x, y), a, rng.normal(size=(3, 1)))
+    # on a 0-d value numpy arithmetic returns scalars, not arrays
+    _check_op_gradient(lambda x: ad.one_minus(ad.softplus(ad.mul(ad.scale(ad.sum_all(x), 0.5),
+                                                                 ad.sum_all(x)))), a)
 
 
 def test_gradients_of_gather_ops_with_duplicate_indices():
@@ -395,6 +398,55 @@ def test_backward_releases_its_tape_so_the_step_is_freed_without_the_collector()
     finally:
         gc.enable()
     assert np.isfinite(p.grad).all() and np.any(p.grad != 0.0)
+
+
+GATHER_IDS = np.arange(32 * 512).reshape(32, 512) % 7
+
+
+def _workspace_step(workspace, x):
+    """One recorded step on a (64, 256) input, whose arrays pass SPARE_MIN_BYTES.
+    `gather` and `sum_all`'s backward allocate their own (32, 512) arrays,
+    which no op of the step asks the workspace for."""
+    with ad.record(workspace) as tape:
+        h = ad.sigmoid(x)
+        mixed = ad.matmul(ad.matmul(h, ad.transpose(h)), h)
+        gathered = ad.sum_all(ad.gather(ad.parameter(x.value[0, :7]), GATHER_IDS))
+        root = ad.add(ad.sum_all(ad.mul(ad.one_minus(h), mixed)), gathered)
+    value_ids = {id(out.value) for out, _ in tape.records}
+    ad.backward(root)
+    return h, value_ids
+
+
+def test_a_workspace_hands_each_step_the_last_steps_arrays_and_keeps_no_more():
+    rng = np.random.default_rng(31)
+    start = rng.normal(size=(64, 256))
+    workspace = ad.Workspace()
+    with_ws, without, held = [], [], []
+    for step in range(4):
+        x = ad.parameter(start * (1.0 + step))
+        _, value_ids = _workspace_step(workspace, x)
+        with_ws.append(x.grad.copy())
+        # ids of arrays the workspace holds alive, so no other array can share one
+        held.append({id(a) for stack in workspace._spare.values() for a in stack})
+        if step:
+            # every value of 64 KiB or more but h, which the step held through backward
+            assert len(value_ids & held[-2]) == 4
+        y = ad.parameter(start * (1.0 + step))
+        _workspace_step(None, y)
+        without.append(y.grad.copy())
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(with_ws, without))
+    assert len(held[1]) == len(held[2]) == len(held[3])  # one step's arrays, not more
+
+
+def test_a_workspace_never_hands_out_an_array_something_still_holds():
+    x = ad.parameter(np.random.default_rng(32).normal(size=(64, 256)))
+    workspace = ad.Workspace()
+    kept, _ = _workspace_step(workspace, x)
+    before = kept.value.copy()
+    for _ in range(3):
+        x.value *= 0.5  # so a step that wrote into kept's array would change it
+        _workspace_step(workspace, x)
+    assert kept.value.tobytes() == before.tobytes()
 
 
 def test_a_second_backward_on_a_consumed_tape_raises():

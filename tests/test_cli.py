@@ -59,6 +59,17 @@ def test_preprocess_min_interactions_below_three_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_preprocess_a_non_finite_min_rating_exits_2(tmp_path, value, capsys):
+    raw = tmp_path / "raw.csv"
+    write_interactions_csv(raw, sequences=[["a", "b", "c", "d"]] * 2)
+    out = tmp_path / "data.json"
+    # one token, or argparse reads "-inf" as an option
+    assert run(["preprocess", "--input", raw, f"--min-rating={value}", "--out", out]) == 2
+    assert "min_rating must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preprocess_strict_flag_rejects_malformed(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("user,item,rating,timestamp\nu1,a,bad,0\n", encoding="utf-8")
@@ -407,6 +418,7 @@ MALFORMED_DATASETS = {
     "user-ids-not-strings": dataset_text([[1]], user_ids=[1]),
     "item-ids-not-a-list": dataset_text([[1]], item_ids="i1"),
     "fewer-user-ids-than-sequences": dataset_text([[1], [2]]),
+    "nested-past-the-recursion-limit": "[" * 1000 + "]" * 1000 + "\n",
 }
 
 

@@ -93,11 +93,12 @@ def test_ingest_jsonl(tmp_path):
         json.dumps({**row, "timestamp": 3.7}),
         json.dumps({**row, "timestamp": 3.2}),
         json.dumps({**row, "user": 7, "item": "c", "timestamp": "4"}),
+        "[" * 1000 + "]" * 1000,  # nested past the parser's recursion limit
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     records, bad = ingest(path, format="jsonl")
     assert [(r.user, r.item, r.timestamp) for r in records] == [("u1", "a", 3), ("7", "c", 4)]
-    assert [ln for ln, _ in bad] == [2, 3, 4, 5, 6, 7, 8]
+    assert [ln for ln, _ in bad] == [2, 3, 4, 5, 6, 7, 8, 10]
 
 
 def test_ingest_missing_file():

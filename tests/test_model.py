@@ -2,13 +2,11 @@
 from __future__ import annotations
 
 import warnings
-import weakref
 
 import numpy as np
 import pytest
 
 from qrseq import autodiff as ad
-from qrseq import model
 from qrseq import rng as rng_streams
 from qrseq.errors import CompatibilityError, ConfigError
 from qrseq.evaluation import target_ranks
@@ -32,6 +30,7 @@ from qrseq.training import bce_loss
 from helpers import (
     model_loss_case,
     numeric_gradient,
+    pooled_values,
     reference_forward,
     relative_errors,
     rewrite_checkpoint,
@@ -425,10 +424,10 @@ def test_swapping_items_changes_some_score():
 
 def test_single_scale_variant_runs():
     store = small_store(scales=(1,), num_layers=1)
-    scores, trace = forward_batch(store, [[1, 2, 3, 4]], [1], [[5, 6]])
+    scores, _ = forward_batch(store, [[1, 2, 3, 4]], [1], [[5, 6]])
     assert scores.value.shape == (1, 2)
-    assert list(trace.scales) == [1]
-    assert [h.shape for h in trace.scales[1].hidden] == [(3, 4)]
+    pooled = pooled_values(store, [[1, 2, 3, 4]])  # one (scale, layer)
+    assert [hidden.shape for _, _, hidden in pooled] == [(3, 4)]
 
 
 def test_profile_only_variant_scores_ignore_context():
@@ -458,9 +457,10 @@ def test_invalid_mode_rejected():
 
 def test_trace_gates_strictly_inside_unit_interval():
     store = small_store(seed=3, use_output_gate=True, num_layers=2)
-    _, trace = forward_batch(store, [[0, 1, 2, 3]], [1], [[5]])
-    for stale in trace.scales.values():
-        for g in stale.forget_gates + (stale.output_gates or []):
+    pooled = pooled_values(store, [[0, 1, 2, 3]])
+    assert len(pooled) == 4 * 2  # every (scale, layer)
+    for forget, output, _ in pooled:
+        for g in (forget, output):
             assert np.all(g > 0.0) and np.all(g < 1.0)
 
 
@@ -481,19 +481,16 @@ def test_hidden_states_stay_in_input_hull():
 def test_forward_causality_across_scales_and_layers():
     store = small_store(seed=4, num_layers=2)
     base_ids = np.array([[1, 2, 3, 4]])
-    _, base = forward_batch(store, base_ids, [1], [[5]])
+    base = pooled_values(store, base_ids)
     for t_perturb in range(1, 4):
         ids = base_ids.copy()
         ids[0, t_perturb] = 9  # different item from position t_perturb on
-        _, bumped = forward_batch(store, ids, [1], [[5]])
-        for w, stale in base.scales.items():
-            other = bumped.scales[w]
-            for layer in range(len(stale.forget_gates)):
-                for t in range(t_perturb):
-                    assert np.array_equal(
-                        stale.forget_gates[layer][:, t], other.forget_gates[layer][:, t]
-                    )
-                    assert np.array_equal(stale.hidden[layer][:, t], other.hidden[layer][:, t])
+        bumped = pooled_values(store, ids)
+        for (forget, _, hidden), (other_forget, _, other_hidden) in zip(base, bumped,
+                                                                         strict=True):
+            for t in range(t_perturb):
+                assert np.array_equal(forget[:, t], other_forget[:, t])
+                assert np.array_equal(hidden[:, t], other_hidden[:, t])
 
 
 def test_stacked_layers_change_the_output():
@@ -600,40 +597,6 @@ def test_training_step_records_one_entry_per_stage():
     assert counts[0] == counts[1] <= 90
 
 
-def test_trace_holds_the_graphs_own_arrays():
-    store = small_store(seed=3, use_output_gate=True, num_layers=2)
-    with ad.record() as tape:
-        _, trace = forward_batch(store, [[1, 2, 3, 4], [4, 3, 2, 0]], [1, 2], [[5], [6]])
-    values = [out.value for out, _ in tape.records]
-    for stale in trace.scales.values():
-        for arrays in (stale.forget_gates, stale.hidden, stale.output_gates):
-            assert len(arrays) == 2  # one (d, L*B) array per layer
-            for a in arrays:
-                assert a.shape == (3, 8)
-                assert any(a is v for v in values)
-    tape.records.clear()
-
-
-def test_model_scorer_frees_each_chunks_trace_before_the_next(monkeypatch):
-    store = small_store(seed=5, use_output_gate=True)
-    traces: list[weakref.ref] = []
-    alive_at_call: list[int] = []
-    real = model._encode
-
-    def tracked(*args, **kwargs):
-        alive_at_call.append(sum(ref() is not None for ref in traces))
-        combined, trace = real(*args, **kwargs)
-        traces.append(weakref.ref(trace))
-        return combined, trace
-
-    monkeypatch.setattr(model, "_encode", tracked)
-    n = 2 * SCORE_CHUNK + 1
-    rng = np.random.default_rng(5)
-    ModelScorer(store).score_batch(rng.integers(1, 5, size=n), rng.integers(0, 13, size=(n, 4)),
-                                   rng.integers(1, 13, size=(n, 3)))
-    assert alive_at_call == [0, 0, 0]
-
-
 @pytest.mark.parametrize("profile", [True, False], ids=["profile", "no-profile"])
 def test_forward_batch_scores_are_bit_equal_on_and_off_the_tape(profile):
     # a catalogue small enough that ModelScorer would score it with its GEMM
@@ -689,7 +652,8 @@ def test_eval_scoring_with_saturated_gates_emits_no_warning():
     store = ParameterStore(cfg, rng_streams.stream(5, "init"), init_std=30.0)
     rng = np.random.default_rng(5)
     ids = rng.integers(1, 21, size=(6, 5))
-    pre = store.forget_filters(1, 0)[0].value @ store.item_embeddings.value[ids.ravel()].T
+    (tap,), _ = store.gate("forget", 1, 0)
+    pre = tap.value @ store.item_embeddings.value[ids.ravel()].T
     assert pre.max() > 745.0 and pre.min() < -745.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -794,6 +758,7 @@ BAD_METADATA = {
     "meta-config-not-an-object": '{"format_version": 1, "config": 5, "extra": {}}',
     "meta-no-extra": '{"format_version": 1, "config": {}}',
     "meta-extra-not-an-object": '{"format_version": 1, "config": {}, "extra": []}',
+    "meta-nested-past-the-recursion-limit": "[" * 1000 + "]" * 1000,
 }
 
 

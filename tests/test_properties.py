@@ -1,23 +1,27 @@
 """Property tests: the rank rule, one-pass evaluation and the leave-one-out
 splits against their independent oracles, evaluation's kept candidates
-against a fresh log's, and checkpoint round trips, over drawn inputs.
+against a fresh log's, checkpoint round trips, and every taped autodiff
+op's gradient against central differences, over drawn inputs.
 
 Every test runs a fixed number of derandomized examples and keeps no
 example database, so each run draws the same examples.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrseq import autodiff as ad
 from qrseq import rng as rng_streams
 from qrseq.data import InteractionLog, make_splits
 from qrseq.evaluation import EvalConfig, evaluate, target_ranks
 from qrseq.model import AGGREGATIONS, ModelConfig, ParameterStore, load_checkpoint, save_checkpoint
-from helpers import oracle_rank, reference_splits
+from helpers import numeric_gradient, oracle_rank, reference_splits, relative_errors
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -164,3 +168,172 @@ def test_make_splits_matches_the_window_by_window_reference(log, seq_len):
             assert a == b
         else:
             assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), f.name
+
+
+# -- autodiff ops against central differences -----------------------------------
+
+
+def taped_ops() -> list[str]:
+    """Every public autodiff function whose own code records on the tape."""
+    return sorted(name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+                  and not name.startswith("_") and "_track" in fn.__code__.co_names)
+
+
+DIMS = st.integers(1, 4)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def arrays(draw, *shape):
+    """A float array of the given shape, each dimension drawn where None."""
+    shape = tuple(draw(DIMS) if n is None else n for n in shape)
+    return np.random.default_rng(draw(SEEDS)).uniform(-2.0, 2.0, size=shape)
+
+
+@st.composite
+def indices(draw, upper, *shape):
+    """An intp array of the given shape over 0..upper-1, repeats likely."""
+    shape = tuple(draw(DIMS) if n is None else n for n in shape)
+    flat = draw(st.lists(st.integers(0, upper - 1), min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape))))
+    return np.array(flat, dtype=np.intp).reshape(shape)
+
+
+@st.composite
+def blocked(draw, count):
+    """`count` same-shape (m, L*B) sequence matrices and their block width B."""
+    rows, width, blocks = draw(DIMS), draw(DIMS), draw(DIMS)
+    return [draw(arrays(rows, blocks * width)) for _ in range(count)], width
+
+
+def unary(op):
+    return arrays(None, None).map(lambda a: (op, [a]))
+
+
+@st.composite
+def same_shape(draw, op):
+    a = draw(arrays(None, None))
+    return op, [a, draw(arrays(*a.shape))]
+
+
+@st.composite
+def matmul_case(draw):
+    a = draw(arrays(None, None))
+    return ad.matmul, [a, draw(arrays(a.shape[1], None))]
+
+
+@st.composite
+def scale_case(draw):
+    c = draw(st.floats(-3.0, 3.0))
+    return (lambda a: ad.scale(a, c)), [draw(arrays(None, None))]
+
+
+@st.composite
+def concat_rows_case(draw):
+    a = draw(arrays(None, None))
+    return ad.concat_rows, [a, draw(arrays(None, a.shape[1]))]
+
+
+@st.composite
+def add_col_case(draw):
+    a = draw(arrays(None, None))
+    return ad.add_col, [a, draw(arrays(a.shape[0], 1))]
+
+
+@st.composite
+def slice_cols_case(draw):
+    a = draw(arrays(None, None))
+    start = draw(st.integers(0, a.shape[1] - 1))
+    stop = draw(st.integers(start + 1, a.shape[1]))
+    return (lambda t: ad.slice_cols(t, start, stop)), [a]
+
+
+@st.composite
+def take_rows_case(draw):
+    a = draw(arrays(None, None))
+    idx = draw(indices(a.shape[0], None))
+    return (lambda t: ad.take_rows(t, idx)), [a]
+
+
+@st.composite
+def gather_case(draw):
+    a = draw(arrays(None))
+    idx = draw(indices(a.shape[0], None, None))
+    return (lambda t: ad.gather(t, idx)), [a]
+
+
+@st.composite
+def rows_dot_cols_case(draw):
+    w = draw(arrays(None, None))
+    z = draw(arrays(w.shape[1], None))
+    idx = draw(indices(w.shape[0], z.shape[1], None))
+    return (lambda wt, zt: ad.rows_dot_cols(wt, idx, zt)), [w, z]
+
+
+@st.composite
+def shifted_sum_case(draw):
+    rows, n = draw(DIMS), draw(st.integers(1, 12))
+    offsets = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3)) if n > 1 else (),
+                     reverse=True) + [0]
+    terms = [draw(arrays(rows, n - o)) for o in offsets]
+    return (lambda *ts: ad.shifted_sum(ts, offsets)), terms
+
+
+@st.composite
+def gated_scan_case(draw):
+    (f, take), width = draw(blocked(2))
+    return (lambda ft, tt: ad.gated_scan(ft, tt, width)), [f, take]
+
+
+@st.composite
+def sum_col_blocks_case(draw):
+    (a,), width = draw(blocked(1))
+    return (lambda t: ad.sum_col_blocks(t, width)), [a]
+
+
+GRADIENT_CASES = {
+    "add": same_shape(ad.add),
+    "add_col": add_col_case(),
+    "concat_rows": concat_rows_case(),
+    "gated_scan": gated_scan_case(),
+    "gather": gather_case(),
+    "matmul": matmul_case(),
+    "mul": same_shape(ad.mul),
+    "one_minus": unary(ad.one_minus),
+    "rows_dot_cols": rows_dot_cols_case(),
+    "scale": scale_case(),
+    "shifted_sum": shifted_sum_case(),
+    "sigmoid": unary(ad.sigmoid),
+    "slice_cols": slice_cols_case(),
+    "softplus": unary(ad.softplus),
+    "sum_all": unary(ad.sum_all),
+    "sum_col_blocks": sum_col_blocks_case(),
+    "take_rows": take_rows_case(),
+    "transpose": unary(ad.transpose),
+}
+
+
+def test_every_taped_op_has_a_gradient_case():
+    assert sorted(GRADIENT_CASES) == taped_ops()
+
+
+@pytest.mark.parametrize("op", taped_ops())
+@settings(PROPERTY, max_examples=50)
+@given(st.data())
+def test_taped_op_gradient_matches_central_differences(op, data):
+    # a fused op that records on the tape lands here through taped_ops(),
+    # and fails until it has a case
+    build, inputs = data.draw(GRADIENT_CASES[op])
+    params = [ad.parameter(v) for v in inputs]
+    # weights drawn per output entry, so a misplaced adjoint entry shows
+    weights = data.draw(arrays(*build(*params).shape))
+
+    def loss() -> float:
+        return float(np.sum(build(*params).value * weights))
+
+    with ad.record():
+        root = ad.sum_all(ad.mul(build(*params), ad.constant(weights)))
+    ad.backward(root)
+    for p in params:
+        assert relative_errors(p.grad, numeric_gradient(loss, p)).max() < 1e-6

@@ -229,7 +229,7 @@ def test_non_finite_step_stops_training_before_the_update():
     log, model_cfg, splits = tiny_setup()
     store = ParameterStore(model_cfg, rng_streams.stream(5, "init"))
     state = AdamState(store)
-    store.forget_filters(2, 0)[1].value[0, 0] = np.nan
+    store.gate("forget", 2, 0)[0][1].value[0, 0] = np.nan
     before = {n: p.value.copy() for n, p in store.named_parameters().items()}
     cfg = TrainConfig(seed=5, lr=0.01, batch_size=16)
     with pytest.raises(TrainingDivergedError) as err:
@@ -306,6 +306,32 @@ def test_train_epoch_leaves_no_tape_alive():
     finally:
         gc.enable()
     assert after == before
+
+
+def test_train_epoch_with_its_workspace_is_bit_equal_to_one_without(monkeypatch):
+    # d = 32, batches of 64 and L = 5: a (d, L*B) array is 80 KiB, so the
+    # gate and pooling arrays pass SPARE_MIN_BYTES and are reused; the short
+    # last batch runs without the workspace
+    log, model_cfg, splits = tiny_setup(num_users=80, num_items=60, latent_dim=32,
+                                        num_layers=2, use_output_gate=True, aggregation="L+M")
+    assert model_cfg.latent_dim * model_cfg.seq_len * 64 * 8 >= ad.SPARE_MIN_BYTES
+    assert len(splits.train_users) % 64
+    cfg = TrainConfig(seed=9, lr=0.01, batch_size=64)
+    given = []
+    real_give = ad.Workspace.give
+    monkeypatch.setattr(ad.Workspace, "give", lambda ws, a: given.append(a.nbytes)
+                        or real_give(ws, a))
+    results = []
+    for use_workspace in (True, False):
+        if not use_workspace:
+            monkeypatch.setattr(training.ad, "Workspace", lambda: None)
+        store = ParameterStore(model_cfg, rng_streams.stream(9, "init"))
+        state = AdamState(store)
+        losses = [train_epoch(log, splits, store, state, cfg, epoch=e)[0] for e in (1, 2)]
+        results.append((losses, store.flat_values.copy()))
+    assert max(given) >= ad.SPARE_MIN_BYTES
+    assert results[0][0] == results[1][0]
+    assert results[0][1].tobytes() == results[1][1].tobytes()
 
 
 def test_single_window_overfits_quickly():
