@@ -32,6 +32,24 @@ array of 64 KiB or more that it frees and nothing else references, so the
 steps reuse the same memory instead of returning it to the C allocator
 and faulting it back in. Values are the same with or without one.
 
+``backward`` pops each record as its step runs and drops the record's
+value, closure and adjoint there, not after the whole walk: a value that
+nothing else holds is freed (or given to the workspace) as soon as the
+walk has passed it, so the adjoints of earlier records reuse its memory.
+
+Four ops may write their output in place: ``shifted_sum``, ``add_col``,
+``sigmoid`` and ``gated_scan`` with ``inplace=True``. The rule is that an
+op writes only into an input that the caller gives up and that the op's
+own backward never reads: none of the four reads its input values in
+backward. Only an op's output can be given up, never a leaf (a parameter,
+a constant, a tensor the caller built), and each only once; asking
+otherwise raises ValueError before anything is written. Afterwards the
+given-up tensor's ``value`` is the output's array (for ``shifted_sum``, its
+view at the term's columns), so its tape record keeps no array of its own.
+Its old values are gone, so the caller gives up only a tensor that no
+other op has read or will read in backward: ``matmul``, ``mul``,
+``rows_dot_cols`` and ``gated_scan`` (its gates) read their inputs there.
+
 Besides elementwise and gather ops, three ops work on whole sequences laid
 out as (m, L*B) matrices whose column t*B + b holds timestep t of sequence
 b, so that one record covers every timestep: ``shifted_sum`` adds terms at
@@ -73,7 +91,7 @@ _tls.workspace = None  # every op reads it, and a missing attribute is slow to l
 class Tensor:
     """A dense float64 array plus an optional same-shape gradient buffer."""
 
-    __slots__ = ("value", "grad", "requires_grad", "tape")
+    __slots__ = ("value", "grad", "requires_grad", "tape", "owns_value")
 
     def __init__(self, value):
         arr = np.asarray(value, dtype=np.float64)
@@ -83,6 +101,9 @@ class Tensor:
         self.requires_grad = False
         self.grad: np.ndarray | None = None
         self.tape: Tape | None = None
+        # True for an op's output, whose array no caller shares, until an
+        # in-place op takes it; a leaf's array may belong to anyone
+        self.owns_value = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -117,28 +138,48 @@ def parameter(value, grad: np.ndarray | None = None) -> Tensor:
     return t
 
 
+def _sole_owner_refcount() -> int:
+    """What `sys.getrefcount` reads in `Workspace.give` for an array its
+    caller holds under one local name, with nothing else referencing it:
+    measured through a method called the same way, because interpreters
+    count the call's own references differently."""
+
+    class Probe:
+        def give(self, a):
+            return sys.getrefcount(a)
+
+    lone = np.empty(0)
+    return Probe().give(lone)
+
+
+_SOLE_OWNER_REFCOUNT = _sole_owner_refcount()
+
+
 class Workspace:
     """Arrays one recorded step leaves for the next to reuse.
 
     A training loop passes the same workspace to `record` for each step.
-    `backward` gives it each adjoint it drops and, once the walk ends, each
-    forward value of the tape, keeping only arrays nothing else references;
-    the ops of the next step, and their backward steps, take their output
-    arrays from it by shape. So the steps reuse the same memory. Freed
-    instead, a step's arrays would go back to the C allocator, which returns
-    the top of its heap to the system once the free space there passes its
-    trim threshold, and the next step would fault every page in again.
+    `backward` gives it each adjoint and forward value it drops, keeping
+    only arrays nothing else references; the ops of the next step, and
+    their backward steps, take their output arrays from it by shape. So
+    the steps reuse the same memory. Freed instead, a step's arrays would
+    go back to the C allocator, which returns the top of its heap to the
+    system once the free space there passes its trim threshold, and the
+    next step would fault every page in again.
 
-    What a step gives is what the next step may take; at the end of each
-    `backward`, what the step before gave and this one did not take is
-    dropped, so the workspace never holds more than one step's arrays.
+    `take` serves what the last step gave first, then what this step has
+    given so far (arrays `backward` and in-place ops released early). At
+    the end of each `backward`, what the step before gave and this one did
+    not take is dropped, so the workspace never holds more than one step's
+    arrays.
     """
 
-    __slots__ = ("_spare", "_given")
+    __slots__ = ("_spare", "_given", "_dropped")
 
     def __init__(self):
         self._spare: dict[tuple[int, ...], list[np.ndarray]] = {}  # the last step's
         self._given: dict[tuple[int, ...], list[np.ndarray]] = {}  # this step's
+        self._dropped: list[np.ndarray] = []  # to give once the running step returns
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray | None:
         """A spare array of `shape` with stale entries, None if there is none."""
@@ -147,16 +188,27 @@ class Workspace:
 
     def give(self, a: np.ndarray) -> None:
         """Keep `a` if it is big enough, owns its data and the caller's one
-        local name is its only reference (with this parameter and
-        getrefcount's argument, three)."""
+        local name is its only reference."""
         if (a.nbytes >= SPARE_MIN_BYTES and a.base is None and a.flags.c_contiguous
-                and sys.getrefcount(a) == 3):
+                and sys.getrefcount(a) == _SOLE_OWNER_REFCOUNT):
             a.flags.writeable = True
             self._given.setdefault(a.shape, []).append(a)
+
+    def drop(self, a: np.ndarray) -> None:
+        """Note that a running backward step is done with `a`."""
+        self._dropped.append(a)
+
+    def collect(self) -> None:
+        """Give what the step that has just returned dropped."""
+        dropped = self._dropped
+        while dropped:
+            a = dropped.pop()  # popped, so `a` is this frame's one reference
+            self.give(a)
 
     def end_step(self) -> None:
         """Drop what the last step gave and this one did not take."""
         self._spare, self._given = self._given, {}
+        self._dropped.clear()
 
 
 class Tape:
@@ -192,21 +244,18 @@ def record(workspace: Workspace | None = None):
         _tls.workspace = None
 
 
-def _new(shape: tuple[int, ...]) -> np.ndarray | None:
-    """An array for an op's output from this thread's workspace, None (numpy
-    allocates) without one. The op overwrites every entry."""
-    workspace = getattr(_tls, "workspace", None)
-    return None if workspace is None else workspace.take(shape)
-
-
 def _empty(shape: tuple[int, ...]) -> np.ndarray:
-    """`_new`'s array, or a new one; either way its entries are stale."""
-    out = _new(shape)
+    """An array for an op's output, from this thread's workspace when it
+    has one of `shape`, else a new one; either way its entries are stale
+    and the op overwrites every one."""
+    workspace = getattr(_tls, "workspace", None)
+    out = None if workspace is None else workspace.take(shape)
     return np.empty(shape) if out is None else out
 
 
 def _track(out: Tensor, inputs: Sequence[Tensor], step) -> Tensor:
     """Register `out` on the active tape when any input is gradient-enabled."""
+    out.owns_value = True
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -231,23 +280,29 @@ def backward(root: Tensor) -> None:
     root.grad = np.ones_like(root.value)
     workspace, outer = tape.workspace, getattr(_tls, "workspace", None)
     _tls.workspace = workspace
+    records = tape.records
     try:
-        for out, step in reversed(tape.records):
-            if out.grad is not None:
-                g = np.asarray(out.grad)  # a step on 0-d values may have made a numpy scalar
+        while records:
+            out, step = records.pop()
+            g = out.grad
+            if g is not None:
+                g = np.asarray(g)  # a step on 0-d values may have made a numpy scalar
                 g.flags.writeable = False  # so the step may hand it to any inputs
                 step(g)
-                out.grad = None
-                if workspace is not None:
+            value = out.value
+            out.grad = out = step = None  # the record's last references, bar the caller's own
+            if workspace is not None:
+                workspace.collect()
+                if g is not None:
+                    g = g if g.base is None else g.base  # a view's last holder frees its base
                     workspace.give(g)
+                value = value if value.base is None else value.base
+                workspace.give(value)
+            del g, value  # or a later `give` of these arrays would count these names
     finally:
         _tls.workspace = outer
-        values = [out.value for out, _ in tape.records] if workspace is not None else []
-        tape.records.clear()  # breaks the tensor -> tape -> records cycle
+        records.clear()  # after a raising step: breaks the tensor -> tape -> records cycle
         if workspace is not None:
-            while values:  # popped, so `value` is the caller's one reference
-                value = values.pop()
-                workspace.give(value)
             workspace.end_step()
 
 
@@ -256,14 +311,19 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
     `g` is the step's read-only upstream adjoint or a view of it, which
     other inputs may share, or an array computed for `t` alone. Only a
-    writable adjoint, held by `t` alone, is added into in place.
+    writable adjoint, held by `t` alone, is added into in place. An array
+    this leaves unused is dropped to the workspace.
     """
     if t.grad is None:
         t.grad = g
-    elif t.grad.flags.writeable:
+        return
+    if t.grad.flags.writeable:
         t.grad += g
     else:
-        t.grad = np.add(t.grad, g, out=_new(t.grad.shape))
+        _drop(t.grad)
+        t.grad = np.add(t.grad, g, out=_empty(t.grad.shape))
+    if g.flags.writeable:
+        _drop(g)
 
 
 def _adjoint(t: Tensor) -> np.ndarray:
@@ -273,8 +333,35 @@ def _adjoint(t: Tensor) -> np.ndarray:
         t.grad = _empty(t.shape)
         t.grad.fill(0.0)
     elif not t.grad.flags.writeable:
-        t.grad = t.grad.copy()
+        shared = t.grad
+        t.grad = _empty(t.shape)
+        np.copyto(t.grad, shared)
+        _drop(shared)
     return t.grad
+
+
+def _drop(a: np.ndarray) -> None:
+    """Hand the workspace, if this thread has one, an array that the running
+    backward step is done with; `backward` gives it once the step returns."""
+    workspace = getattr(_tls, "workspace", None)
+    if workspace is not None and a.nbytes >= SPARE_MIN_BYTES:
+        workspace.drop(a)
+
+
+def _give_up(op: str, t: Tensor, *others: Tensor) -> np.ndarray:
+    """`t`'s array, for op `op` to write its output into in place.
+
+    Raises ValueError unless `t` is an op's output that no in-place op has
+    taken yet and its array overlaps no other input of the op; then `t`
+    no longer owns the array.
+    """
+    if not t.owns_value:
+        raise ValueError(f"{op}: inplace=True needs an op's output that no in-place op took, "
+                         f"not a leaf (a parameter, a constant) or a tensor already given up")
+    if any(np.may_share_memory(t.value, o.value) for o in others):
+        raise ValueError(f"{op}: the input given up in place shares memory with another input")
+    t.owns_value = False
+    return t.value
 
 
 def _scatter_add(target: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> None:
@@ -311,21 +398,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _require_2d("matmul", b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(np.matmul(a.value, b.value, out=_new((a.shape[0], b.shape[1]))))
+    out = Tensor(np.matmul(a.value, b.value, out=_empty((a.shape[0], b.shape[1]))))
     av, bv = a.value, b.value
 
     def step(g):
         if a.requires_grad:
-            _accumulate(a, np.matmul(g, bv.T, out=_new(av.shape)))
+            _accumulate(a, np.matmul(g, bv.T, out=_empty(av.shape)))
         if b.requires_grad:
-            _accumulate(b, np.matmul(av.T, g, out=_new(bv.shape)))
+            _accumulate(b, np.matmul(av.T, g, out=_empty(bv.shape)))
 
     return _track(out, (a, b), step)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("add", a, b)
-    out = Tensor(np.add(a.value, b.value, out=_new(a.shape)))
+    out = Tensor(np.add(a.value, b.value, out=_empty(a.shape)))
 
     def step(g):
         if a.requires_grad:
@@ -338,21 +425,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("mul", a, b)
-    out = Tensor(np.multiply(a.value, b.value, out=_new(a.shape)))
+    out = Tensor(np.multiply(a.value, b.value, out=_empty(a.shape)))
     av, bv = a.value, b.value
 
     def step(g):
         if a.requires_grad:
-            _accumulate(a, np.multiply(g, bv, out=_new(g.shape)))
+            _accumulate(a, np.multiply(g, bv, out=_empty(g.shape)))
         if b.requires_grad:
-            _accumulate(b, np.multiply(g, av, out=_new(g.shape)))
+            _accumulate(b, np.multiply(g, av, out=_empty(g.shape)))
 
     return _track(out, (a, b), step)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(np.multiply(a.value, c, out=_new(a.shape)))
+    out = Tensor(np.multiply(a.value, c, out=_empty(a.shape)))
 
     def step(g):
         if a.requires_grad:
@@ -367,11 +454,11 @@ def neg(a: Tensor) -> Tensor:
 
 def one_minus(a: Tensor) -> Tensor:
     """Elementwise 1 - a."""
-    out = Tensor(np.subtract(1.0, a.value, out=_new(a.shape)))
+    out = Tensor(np.subtract(1.0, a.value, out=_empty(a.shape)))
 
     def step(g):
         if a.requires_grad:
-            _accumulate(a, np.negative(g, out=_new(g.shape)))
+            _accumulate(a, np.negative(g, out=_empty(g.shape)))
 
     return _track(out, (a,), step)
 
@@ -381,7 +468,7 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape[1:] != b.value.shape[1:]:
         raise ValueError(f"concat_rows trailing shape mismatch: {a.shape} vs {b.shape}")
     out = Tensor(np.concatenate([a.value, b.value], axis=0,
-                                out=_new((a.shape[0] + b.shape[0], *a.shape[1:]))))
+                                out=_empty((a.shape[0] + b.shape[0], *a.shape[1:]))))
     split = a.shape[0]
 
     def step(g):
@@ -393,12 +480,14 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     return _track(out, (a, b), step)
 
 
-def add_col(a: Tensor, col: Tensor) -> Tensor:
-    """Broadcast-add a column vector (m, 1) across every column of a (m, n)."""
+def add_col(a: Tensor, col: Tensor, inplace: bool = False) -> Tensor:
+    """Broadcast-add a column vector (m, 1) across every column of a (m, n);
+    with `inplace`, into `a`'s array."""
     _require_2d("add_col", a)
     if col.shape != (a.shape[0], 1):
         raise ValueError(f"add_col shape mismatch: {a.shape} vs column {col.shape}")
-    out = Tensor(np.add(a.value, col.value, out=_new(a.shape)))
+    out_val = _give_up("add_col", a, col) if inplace else _empty(a.shape)
+    out = Tensor(np.add(a.value, col.value, out=out_val))
 
     def step(g):
         if a.requires_grad:
@@ -447,14 +536,16 @@ def _logistic(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(x, 0.0)) / (1.0 + e)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    """Logistic function 1 / (1 + exp(-x)), clamped strictly inside (0, 1).
+def sigmoid(a: Tensor, inplace: bool = False) -> Tensor:
+    """Logistic function 1 / (1 + exp(-x)), clamped strictly inside (0, 1);
+    with `inplace`, into `a`'s array.
 
     One buffer holds every stage. exp(-x) overflows to inf for x below
     about -709, which gives 1 / inf = 0 before the clamp, so the overflow
     is expected and silenced. NaN stays NaN.
     """
-    out_val = np.negative(a.value, out=_new(a.shape))
+    out_val = _give_up("sigmoid", a) if inplace else _empty(a.shape)
+    np.negative(a.value, out=out_val)
     with np.errstate(over="ignore"):
         np.exp(out_val, out=out_val)
     out_val += 1.0
@@ -464,7 +555,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def step(g):
         if a.requires_grad:
-            d = np.subtract(1.0, out_val, out=_new(out_val.shape))  # g * s * (1 - s), one buffer
+            d = np.subtract(1.0, out_val, out=_empty(out_val.shape))  # g * s * (1 - s), one buffer
             d *= out_val
             d *= g
             _accumulate(a, d)
@@ -513,7 +604,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
         raise ValueError(f"take_rows expects 1-d indices, got shape {idx.shape}")
     _check_indices("take_rows", idx, a.shape[0])
     # checked above, so "clip" changes no index; it lets numpy write `out` unbuffered
-    out = Tensor(np.take(a.value, idx, axis=0, out=_new((len(idx), a.shape[1])), mode="clip"))
+    out = Tensor(np.take(a.value, idx, axis=0, out=_empty((len(idx), a.shape[1])), mode="clip"))
 
     def step(g):
         if a.requires_grad:
@@ -553,17 +644,17 @@ def rows_dot_cols(w: Tensor, indices, z: Tensor) -> Tensor:
             f"rows_dot_cols index shape {idx.shape} incompatible with columns {z.shape}"
         )
     _check_indices("rows_dot_cols", idx, w.shape[0])
+    dim = w.shape[1]
     rows = w.value[idx]  # (B, C, D)
     out = Tensor(np.einsum("bcd,db->bc", rows, z.value))
     zv = z.value
-    dim = w.shape[1]
 
     def step(g):
         if w.requires_grad:
             contrib = g[:, :, None] * zv.T[:, None, :]
             _scatter_add(_adjoint(w), idx.ravel(), contrib.reshape(-1, dim))
         if z.requires_grad:
-            _accumulate(z, np.einsum("bc,bcd->db", g, rows, out=_new(zv.shape)))
+            _accumulate(z, np.einsum("bc,bcd->db", g, rows, out=_empty(zv.shape)))
 
     return _track(out, (w, z), step)
 
@@ -580,12 +671,17 @@ def _require_blocks(op: str, a: Tensor, width: int) -> int:
     return a.shape[1] // width
 
 
-def shifted_sum(terms: Sequence[Tensor], offsets: Sequence[int]) -> Tensor:
+def shifted_sum(terms: Sequence[Tensor], offsets: Sequence[int],
+                inplace: bool = False) -> Tensor:
     """Sum terms into one (m, n) tensor, term j over columns offsets[j]:n.
 
-    Offsets strictly decrease to 0 and term j is (m, n - offsets[j]). A
-    column is first set by the first term that reaches it and the later
-    ones add in list order, so every column sums its terms in list order.
+    Offsets strictly decrease to 0 and term j is (m, n - offsets[j]). Each
+    term from the second on has the running sum of the terms before it
+    added over the columns they share, so the last one (offset 0) ends up
+    holding the sum, every column summed in list order (a + b == b + a to
+    the bit). With `inplace` the sums run in the terms' own arrays, and
+    afterwards each term's `value` is the output's view at its columns;
+    else they run in copies of the terms.
     """
     offsets = [int(o) for o in offsets]
     if not terms or len(terms) != len(offsets):
@@ -600,13 +696,22 @@ def shifted_sum(terms: Sequence[Tensor], offsets: Sequence[int]) -> Tensor:
         if t.shape != (rows, n - o):
             raise ValueError(f"shifted_sum term at offset {o} has shape {t.shape}, "
                              f"expected {(rows, n - o)}")
-    out_val = _empty((rows, n))
-    covered = n  # columns from `covered` on are set
-    for t, o in zip(terms, offsets):
-        out_val[:, o:covered] = t.value[:, :covered - o]
-        out_val[:, covered:] += t.value[:, covered - o:]
-        covered = o
+    if inplace:
+        sums = [_give_up("shifted_sum", t) for t in terms]
+    else:
+        sums = [t.value.copy() for t in terms]
+    for j in range(1, len(sums)):  # sums[j - 1] sums the terms up to j - 1
+        sums[j][:, offsets[j - 1] - offsets[j]:] += sums[j - 1]
+    out_val = sums[-1]
     out = Tensor(out_val)
+    if inplace:
+        workspace = getattr(_tls, "workspace", None)
+        sums.clear()  # so each term's old array is referenced by `spare` alone
+        for t, o in zip(terms[:-1], offsets):
+            spare = t.value
+            t.value = out_val[:, o:]
+            if workspace is not None:
+                workspace.give(spare)
 
     def step(g):
         for t, o in zip(terms, offsets):
@@ -616,8 +721,9 @@ def shifted_sum(terms: Sequence[Tensor], offsets: Sequence[int]) -> Tensor:
     return _track(out, terms, step)
 
 
-def gated_scan(f: Tensor, take: Tensor, width: int) -> Tensor:
-    """fo-pooling over column blocks: c_0 = take_0, c_t = f_t*c_{t-1} + take_t.
+def gated_scan(f: Tensor, take: Tensor, width: int, inplace: bool = False) -> Tensor:
+    """fo-pooling over column blocks: c_0 = take_0, c_t = take_t + f_t*c_{t-1};
+    with `inplace`, into `take`'s array.
 
     Backward is one reverse scan: dc_{t-1} = g_{t-1} + f_t*dc_t, then
     d take_t = dc_t and d f_t = dc_t*c_{t-1} (zero for t = 0).
@@ -625,14 +731,19 @@ def gated_scan(f: Tensor, take: Tensor, width: int) -> Tensor:
     _require_same_shape("gated_scan", f, take)
     _require_blocks("gated_scan", f, width)
     fv = f.value
-    c = _empty(take.shape)
-    c[:, :width] = take.value[:, :width]
+    if inplace:
+        c = _give_up("gated_scan", take, f)
+    else:
+        c = _empty(take.shape)
+        np.copyto(c, take.value)
     n = c.shape[1]
+    carried = _empty((c.shape[0], width))  # f_t * c_{t-1}
     for lo in range(width, n, width):
-        hi = lo + width
-        cur = c[:, lo:hi]
-        np.multiply(fv[:, lo:hi], c[:, lo - width:lo], out=cur)
-        cur += take.value[:, lo:hi]
+        np.multiply(fv[:, lo:lo + width], c[:, lo - width:lo], out=carried)
+        c[:, lo:lo + width] += carried
+    workspace = getattr(_tls, "workspace", None)
+    if workspace is not None:
+        workspace.give(carried)
     out = Tensor(c)
 
     def step(g):

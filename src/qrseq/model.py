@@ -261,18 +261,33 @@ def _conv_gate(shifted: Sequence[Tensor], filters: Sequence[Tensor], bias: Tenso
                batch: int) -> Tensor:
     """Causal width-w convolution + sigmoid; positions before the sequence
     start contribute nothing (zero left padding). Filter i is the tap
-    w-1-i steps back; the taps are summed oldest first."""
+    w-1-i steps back; the taps are summed oldest first.
+
+    The tap sum, the bias and the sigmoid each write in place into the
+    array before them, so the gate keeps one (d, L*B) array for all its
+    records. That is safe because each of those arrays is an output of the
+    step before, read by the next step alone, and no backward step here
+    reads it: `matmul`'s backward reads its inputs, not its output;
+    `shifted_sum`'s and `add_col`'s read only the upstream adjoint, and
+    `sigmoid`'s reads its own output.
+    """
     width = len(filters)
     shifts = range(min(width, len(shifted)) - 1, -1, -1)
     terms = [ad.matmul(filters[width - 1 - k], shifted[k]) for k in shifts]
-    pre = terms[0] if len(terms) == 1 else ad.shifted_sum(terms, [k * batch for k in shifts])
-    return ad.sigmoid(ad.add_col(pre, bias))
+    pre = terms[0] if len(terms) == 1 else ad.shifted_sum(terms, [k * batch for k in shifts],
+                                                          inplace=True)
+    return ad.sigmoid(ad.add_col(pre, bias, inplace=True), inplace=True)
 
 
 def _pool(x: Tensor, forget: Tensor, output: Tensor | None, batch: int) -> Tensor:
     """fo-pooling: c_t = f_t*c_{t-1} + (1-f_t)*x_t with c_0 = 0; the hidden
-    state is h_t = o_t*c_t with output gates, else c_t itself."""
-    cell = ad.gated_scan(forget, ad.mul(ad.one_minus(forget), x), batch)
+    state is h_t = o_t*c_t with output gates, else c_t itself.
+
+    The scan writes its cells in place into the (1-f_t)*x_t array, which
+    is the `mul`'s output and read by nothing else: `mul`'s backward reads
+    its inputs, and `gated_scan`'s reads f and its own cells.
+    """
+    cell = ad.gated_scan(forget, ad.mul(ad.one_minus(forget), x), batch, inplace=True)
     return cell if output is None else ad.mul(output, cell)
 
 

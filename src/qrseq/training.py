@@ -11,8 +11,8 @@ coupling).
 Adam's moments are flat arrays aligned with the parameter store's flat
 values, so each whole-model pass of a step is one pass over flat arrays:
 zeroing the gradients is one fill, the divergence check one `isfinite`
-over the flat gradients, and the Adam update one sweep in blocks of
-ADAM_BLOCK elements, whose temporaries do not grow with the model.
+over the flat gradients, and the Adam update one in-place sweep in blocks
+of ADAM_BLOCK elements, whose two buffers do not grow with the model.
 """
 from __future__ import annotations
 
@@ -64,20 +64,23 @@ class TrainConfig:
             raise ConfigError("max_epochs must be >= base_epochs")
 
 
-# Adam runs over the flat arrays in blocks of this many elements, so its
-# temporaries (512 KB each) stay this size however large the model is. The
-# criterion-7 shape (388k parameters at d = 128) takes 6 blocks a step.
+# Adam runs over the flat arrays in blocks of this many elements, into two
+# block buffers (512 KB each) that stay this size however large the model
+# is. The criterion-7 shape (388k parameters at d = 128) takes 6 blocks a step.
 ADAM_BLOCK = 1 << 16
 
 
 class AdamState:
     """Flat first/second moment buffers, one element per element of the
-    store's `flat_values`, plus the step count."""
+    store's `flat_values`, the step count, and the update's two block
+    buffers."""
 
     def __init__(self, store: ParameterStore):
         self.step_count = 0
         self.m = np.zeros(store.flat_values.size)
         self.v = np.zeros(store.flat_values.size)
+        block = min(ADAM_BLOCK, store.flat_values.size)
+        self.buffers = (np.empty(block), np.empty(block))
 
 
 def bce_loss(target_scores: Tensor, negative_scores: Tensor | None = None) -> Tensor:
@@ -98,8 +101,14 @@ def adam_step(store: ParameterStore, state: AdamState, lr: float, l2: float = 0.
     """One bias-corrected Adam update with decoupled weight decay lr*l2*theta.
 
     The padding rows (id 0) never receive updates. The update runs over the
-    store's flat arrays, ADAM_BLOCK elements at a time; each element gets
-    the same arithmetic, in the same order, as a pass per tensor would.
+    store's flat arrays, ADAM_BLOCK elements at a time, in place and in
+    `state`'s two block buffers; each element gets the arithmetic of
+
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        theta -= lr * ((m/c1) / (sqrt(v/c2) + eps) + l2*theta)
+
+    in this order, as a pass per tensor would (x*c == c*x and x+y == y+x to
+    the bit, so the order of each product's or sum's operands is free).
     """
     store.clear_padding_grads()
     state.step_count += 1
@@ -110,14 +119,24 @@ def adam_step(store: ParameterStore, state: AdamState, lr: float, l2: float = 0.
     for lo in range(0, values.size, ADAM_BLOCK):
         hi = lo + ADAM_BLOCK
         theta, g, m, v = values[lo:hi], grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        update, denom = (buf[:theta.size] for buf in state.buffers)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        np.multiply(g, 1.0 - ADAM_BETA1, out=update)
+        m += update
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        update = (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=update)
+        update *= g
+        v += update
+        np.divide(v, correct2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, correct1, out=update)
+        update /= denom
         if l2:
-            update = update + l2 * theta
-        theta -= lr * update
+            np.multiply(theta, l2, out=denom)
+            update += denom
+        update *= lr
+        theta -= update
 
 
 def _check_finite(loss: float, store: ParameterStore, epoch: int, batch: int) -> None:
@@ -170,9 +189,9 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
         # Overflow and NaN are caught by _check_finite, not reported by NumPy.
         with np.errstate(over="ignore", invalid="ignore"):
             with ad.record(workspace):
-                scores, _ = forward_batch(
+                scores = forward_batch(
                     store, contexts, users, candidates, mode="train", rng=dropout_rng
-                )
+                )[0]  # the sequence vector, held on, would keep its array from the workspace
                 loss = bce_loss(
                     ad.slice_cols(scores, 0, 1), ad.slice_cols(scores, 1, 1 + k)
                 )

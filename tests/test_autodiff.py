@@ -230,8 +230,8 @@ def test_gradients_of_simple_ops():
     _check_op_gradient(lambda x: ad.slice_cols(x, 1, 3), a)
     _check_op_gradient(lambda x, y: ad.add_col(x, y), a, rng.normal(size=(3, 1)))
     # on a 0-d value numpy arithmetic returns scalars, not arrays
-    _check_op_gradient(lambda x: ad.one_minus(ad.softplus(ad.mul(ad.scale(ad.sum_all(x), 0.5),
-                                                                 ad.sum_all(x)))), a)
+    _check_op_gradient(lambda x: ad.sigmoid(ad.one_minus(ad.softplus(
+        ad.mul(ad.scale(ad.sum_all(x), 0.5), ad.sum_all(x))))), a)
 
 
 def test_gradients_of_gather_ops_with_duplicate_indices():
@@ -405,14 +405,16 @@ GATHER_IDS = np.arange(32 * 512).reshape(32, 512) % 7
 
 def _workspace_step(workspace, x):
     """One recorded step on a (64, 256) input, whose arrays pass SPARE_MIN_BYTES.
-    `gather` and `sum_all`'s backward allocate their own (32, 512) arrays,
-    which no op of the step asks the workspace for."""
+    Returns h and the ids of the values of 64 KiB or more that ops took from
+    the workspace: `gather` and `sum_all`'s backward allocate their own
+    (32, 512) arrays, which no op of the step asks the workspace for."""
     with ad.record(workspace) as tape:
         h = ad.sigmoid(x)
         mixed = ad.matmul(ad.matmul(h, ad.transpose(h)), h)
         gathered = ad.sum_all(ad.gather(ad.parameter(x.value[0, :7]), GATHER_IDS))
         root = ad.add(ad.sum_all(ad.mul(ad.one_minus(h), mixed)), gathered)
-    value_ids = {id(out.value) for out, _ in tape.records}
+    value_ids = {id(out.value) for out, _ in tape.records
+                 if out.value.nbytes >= ad.SPARE_MIN_BYTES and out.shape != GATHER_IDS.shape}
     ad.backward(root)
     return h, value_ids
 
@@ -429,8 +431,8 @@ def test_a_workspace_hands_each_step_the_last_steps_arrays_and_keeps_no_more():
         # ids of arrays the workspace holds alive, so no other array can share one
         held.append({id(a) for stack in workspace._spare.values() for a in stack})
         if step:
-            # every value of 64 KiB or more but h, which the step held through backward
-            assert len(value_ids & held[-2]) == 4
+            # every value an op took from the workspace is one the step before left
+            assert len(value_ids) == 5 and value_ids <= held[-2]
         y = ad.parameter(start * (1.0 + step))
         _workspace_step(None, y)
         without.append(y.grad.copy())
@@ -447,6 +449,40 @@ def test_a_workspace_never_hands_out_an_array_something_still_holds():
         x.value *= 0.5  # so a step that wrote into kept's array would change it
         _workspace_step(workspace, x)
     assert kept.value.tobytes() == before.tobytes()
+
+
+IN_PLACE_CALLS = {  # each in-place op, asked to write into a (2, 4) tensor
+    "sigmoid": lambda t: ad.sigmoid(t, inplace=True),
+    "add_col": lambda t: ad.add_col(t, ad.constant(np.ones((2, 1))), inplace=True),
+    "shifted_sum": lambda t: ad.shifted_sum([ad.scale(ad.constant(np.ones((2, 2))), 1.0), t],
+                                            [2, 0], inplace=True),
+    "gated_scan": lambda t: ad.gated_scan(ad.constant(np.full((2, 4), 0.5)), t, 2, inplace=True),
+}
+
+
+@pytest.mark.parametrize("op", sorted(IN_PLACE_CALLS))
+def test_writing_in_place_into_a_leaf_raises_and_leaves_it_unchanged(op):
+    values = np.arange(8.0).reshape(2, 4)
+    given_up = ad.scale(ad.constant(values), 1.0)
+    ad.sigmoid(given_up, inplace=True)  # its array now holds the sigmoid's output
+    leaves = {"parameter": ad.parameter(values.copy()), "constant": ad.constant(values),
+              "tensor": ad.Tensor(values), "tensor given up before": given_up}
+    for name, t in leaves.items():
+        before = t.value.copy()
+        with pytest.raises(ValueError, match="inplace=True needs an op's output"):
+            IN_PLACE_CALLS[op](t)
+        assert t.value.tobytes() == before.tobytes(), name
+    assert values.tobytes() == np.arange(8.0).tobytes()
+
+
+def test_writing_in_place_into_an_input_that_another_input_shares_raises():
+    x = ad.scale(ad.constant(np.full((2, 4), 0.5)), 1.0)
+    with pytest.raises(ValueError, match="shares memory"):
+        ad.gated_scan(x, x, 2, inplace=True)
+    pre = ad.scale(ad.constant(np.ones((2, 4))), 1.0)
+    out = ad.add_col(pre, ad.constant(np.ones((2, 1))), inplace=True)
+    with pytest.raises(ValueError, match="shares memory"):
+        ad.gated_scan(pre, out, 2, inplace=True)
 
 
 def test_a_second_backward_on_a_consumed_tape_raises():

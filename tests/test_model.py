@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qrseq import autodiff as ad
+from qrseq import model
 from qrseq import rng as rng_streams
 from qrseq.errors import CompatibilityError, ConfigError
 from qrseq.evaluation import target_ranks
@@ -595,6 +596,44 @@ def test_training_step_records_one_entry_per_stage():
             bce_loss(ad.slice_cols(scores, 0, 1), ad.slice_cols(scores, 1, 4))
         counts.append(len(tape.records))
     assert counts[0] == counts[1] <= 90
+
+
+def test_each_gate_and_pool_of_a_training_step_keeps_one_array(monkeypatch):
+    # default architecture: every record of a gate (its tap GEMMs, tap sum,
+    # bias and sigmoid) shares the sigmoid's array, and each pool's scan
+    # writes its cells into its (1 - f) * x array
+    cfg = ModelConfig(num_items=30, num_users=10)
+    store = ParameterStore(cfg, rng_streams.stream(2, "init"))
+    rng = np.random.default_rng(4)
+    stages = []
+
+    def recorded(kind, real):
+        def stage(*args):
+            records = ad._active_tape().records
+            start = len(records)
+            out = real(*args)
+            stages.append((kind, [(step.__qualname__.split(".")[0], t.value)
+                                  for t, step in records[start:]]))
+            return out
+        return stage
+
+    monkeypatch.setattr(model, "_conv_gate", recorded("gate", model._conv_gate))
+    monkeypatch.setattr(model, "_pool", recorded("pool", model._pool))
+    with ad.record():
+        forward_batch(store, rng.integers(0, 31, size=(6, 5)), rng.integers(1, 11, size=6),
+                      rng.integers(1, 31, size=(6, 4)), mode="train",
+                      rng=rng_streams.stream(2, "dropout"))
+    gates = [ops for kind, ops in stages if kind == "gate"]
+    pools = [ops for kind, ops in stages if kind == "pool"]
+    assert len(gates) == len(pools) == 5
+    for w, ops in zip(cfg.scales, gates):
+        names = [name for name, _ in ops]
+        assert names == ["matmul"] * w + ["shifted_sum"] * (w > 1) + ["add_col", "sigmoid"]
+        assert all(np.shares_memory(value, ops[-1][1]) for _, value in ops), names
+    for ops in pools:
+        (one_minus, gap), (mul, take), (scan, cell) = ops
+        assert (one_minus, mul, scan) == ("one_minus", "mul", "gated_scan")
+        assert take is cell and not np.shares_memory(gap, cell)
 
 
 @pytest.mark.parametrize("profile", [True, False], ids=["profile", "no-profile"])

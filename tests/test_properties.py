@@ -1,7 +1,8 @@
 """Property tests: the rank rule, one-pass evaluation and the leave-one-out
 splits against their independent oracles, evaluation's kept candidates
-against a fresh log's, checkpoint round trips, and every taped autodiff
-op's gradient against central differences, over drawn inputs.
+against a fresh log's, checkpoint round trips, every taped autodiff
+op's gradient against central differences, and each op that can write in
+place against its out-of-place form, over drawn inputs.
 
 Every test runs a fixed number of derandomized examples and keeps no
 example database, so each run draws the same examples.
@@ -277,13 +278,13 @@ def shifted_sum_case(draw):
     offsets = sorted(draw(st.sets(st.integers(1, n - 1), max_size=3)) if n > 1 else (),
                      reverse=True) + [0]
     terms = [draw(arrays(rows, n - o)) for o in offsets]
-    return (lambda *ts: ad.shifted_sum(ts, offsets)), terms
+    return (lambda *ts, inplace=False: ad.shifted_sum(ts, offsets, inplace=inplace)), terms
 
 
 @st.composite
 def gated_scan_case(draw):
     (f, take), width = draw(blocked(2))
-    return (lambda ft, tt: ad.gated_scan(ft, tt, width)), [f, take]
+    return (lambda ft, tt, inplace=False: ad.gated_scan(ft, tt, width, inplace=inplace)), [f, take]
 
 
 @st.composite
@@ -318,14 +319,7 @@ def test_every_taped_op_has_a_gradient_case():
     assert sorted(GRADIENT_CASES) == taped_ops()
 
 
-@pytest.mark.parametrize("op", taped_ops())
-@settings(PROPERTY, max_examples=50)
-@given(st.data())
-def test_taped_op_gradient_matches_central_differences(op, data):
-    # a fused op that records on the tape lands here through taped_ops(),
-    # and fails until it has a case
-    build, inputs = data.draw(GRADIENT_CASES[op])
-    params = [ad.parameter(v) for v in inputs]
+def assert_gradient_matches_central_differences(build, params, data) -> None:
     # weights drawn per output entry, so a misplaced adjoint entry shows
     weights = data.draw(arrays(*build(*params).shape))
 
@@ -337,3 +331,39 @@ def test_taped_op_gradient_matches_central_differences(op, data):
     ad.backward(root)
     for p in params:
         assert relative_errors(p.grad, numeric_gradient(loss, p)).max() < 1e-6
+
+
+@pytest.mark.parametrize("op", taped_ops())
+@settings(PROPERTY, max_examples=50)
+@given(st.data())
+def test_taped_op_gradient_matches_central_differences(op, data):
+    # a fused op that records on the tape lands here through taped_ops(),
+    # and fails until it has a case
+    build, inputs = data.draw(GRADIENT_CASES[op])
+    assert_gradient_matches_central_differences(build, [ad.parameter(v) for v in inputs], data)
+
+
+def in_place_ops() -> list[str]:
+    """Every public autodiff function that can write its output in place."""
+    return sorted(name for name, fn in vars(ad).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+                  and not name.startswith("_") and "inplace" in inspect.signature(fn).parameters)
+
+
+def test_the_in_place_ops_are_the_four_the_model_uses():
+    assert in_place_ops() == ["add_col", "gated_scan", "shifted_sum", "sigmoid"]
+
+
+@pytest.mark.parametrize("op", in_place_ops())
+@settings(PROPERTY, max_examples=50)
+@given(st.data())
+def test_in_place_op_matches_its_out_of_place_value_and_gradient(op, data):
+    # each input goes through `scale(p, 1.0)`, a fresh intermediate the op may write into
+    build, inputs = data.draw(GRADIENT_CASES[op])
+    params = [ad.parameter(v) for v in inputs]
+
+    def in_place(*ps):
+        return build(*[ad.scale(p, 1.0) for p in ps], inplace=True)
+
+    assert in_place(*params).value.tobytes() == build(*params).value.tobytes()
+    assert_gradient_matches_central_differences(in_place, params, data)
