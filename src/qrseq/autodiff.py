@@ -64,9 +64,18 @@ and ``sum_col_blocks`` sums the blocks (the sum over time).
 needs for log1p anyway.
 
 Everything is float64: the models are small and gradient checking at
-tight tolerances is unreliable in float32. One recording episode is
-single-threaded (the active tape is thread-local); tensors can move
-freely between threads once recording has finished.
+tight tolerances is unreliable in float32.
+
+Tapes are per thread: `record` activates a tape, and a workspace, on the
+calling thread alone, and each op records onto its own thread's tape.
+So two threads may record and run `backward` at the same time, each on
+its own tape with its own workspace, and may share leaves for reading.
+They must never accumulate into the same leaf's gradient buffer: ``+=``
+from two threads into one array is a data race that loses updates. A
+training step split over two threads gives the second thread's leaves
+gradient buffers of their own and adds them up after both have
+returned. Tensors can move freely between threads once recording has
+finished.
 """
 from __future__ import annotations
 

@@ -21,7 +21,7 @@ from .data import InteractionLog, first_non_utf8_line, ingest, make_splits, prep
 from .errors import CompatibilityError, ConfigError, QrseqError
 from .evaluation import EvalConfig, evaluate, poprec_baseline
 from .model import ModelConfig, ModelScorer, load_checkpoint, save_checkpoint
-from .training import FitResult, TrainConfig, fit
+from .training import FitResult, TrainConfig, fit, run_shards_inline
 
 CSV_VERSION_LINE = "# format_version=1"
 
@@ -333,7 +333,8 @@ def cmd_ablate(args) -> int:
 
     results: list[float] = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # each process trains its shards one after the other: N processes use N cores
+        with ProcessPoolExecutor(max_workers=workers, initializer=run_shards_inline) as pool:
             for _, ndcg in pool.map(_ablate_worker, jobs):
                 results.append(ndcg)
     else:

@@ -159,15 +159,11 @@ class ParameterStore:
         self.config = config
         layout = _layout(config)
         total = sum(size for _, _, size, _ in layout)
-        self.flat_values = np.zeros(total)
-        self.flat_grads = np.zeros(total)
-        self._params: dict[str, Tensor] = {}
+        self._bind(np.zeros(total))
         runs: list[list[int]] = []  # [lo, hi) spans of consecutive drawn tensors
         lo = 0
-        for name, shape, size, drawn in layout:
+        for _, _, size, drawn in layout:
             hi = lo + size
-            self._params[name] = ad.parameter(self.flat_values[lo:hi].reshape(shape),
-                                              self.flat_grads[lo:hi].reshape(shape))
             if drawn:
                 if runs and runs[-1][1] == lo:
                     runs[-1][1] = hi
@@ -185,6 +181,28 @@ class ParameterStore:
         self.head_weights.value[0] = 0.0
         if config.use_user_profile:
             self.user_embeddings.value[0] = 0.0
+
+    def _bind(self, flat_values: np.ndarray) -> None:
+        """Take `flat_values` as the values and a new zero array as the
+        gradients, and make every parameter's views into them."""
+        self.flat_values = flat_values
+        self.flat_grads = np.zeros_like(flat_values)
+        self._params: dict[str, Tensor] = {}
+        lo = 0
+        for name, shape, size, _ in _layout(self.config):
+            hi = lo + size
+            self._params[name] = ad.parameter(self.flat_values[lo:hi].reshape(shape),
+                                              self.flat_grads[lo:hi].reshape(shape))
+            lo = hi
+
+    def grad_sibling(self) -> "ParameterStore":
+        """A store over this one's values, `flat_values` itself, with its own
+        zero gradients: a forward pass through it reads the same parameters,
+        and its backward accumulates into the sibling's `flat_grads` alone."""
+        sibling = object.__new__(ParameterStore)
+        sibling.config = self.config
+        sibling._bind(self.flat_values)
+        return sibling
 
     # -- access ------------------------------------------------------------
 
@@ -357,23 +375,47 @@ def _dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def _encode(store: ParameterStore, item_ids, rng: np.random.Generator | None = None) -> Tensor:
+DropoutMasks = tuple[np.ndarray, np.ndarray]
+
+
+def _applies_dropout(config: ModelConfig) -> bool:
+    """Whether a training forward pass applies dropout: a profile-only
+    model has no encoder to apply it to."""
+    return config.dropout > 0.0 and bool(config.scales)
+
+
+def dropout_masks(config: ModelConfig, batch: int, rng: np.random.Generator
+                  ) -> DropoutMasks | None:
+    """The inverted-dropout masks of a training batch of `batch` sequences,
+    drawn from `rng` in the order the encoder applies them: the embedded
+    inputs' (L, d, B), one draw per timestep, then the combined vector's
+    (d, B). None, drawing nothing, when the model has no dropout or no
+    encoder. The last axis of each is the sequence, so the masks of the
+    batch's sequences lo:hi are `mask[..., lo:hi]`."""
+    if not _applies_dropout(config):
+        return None
+    d, p = config.latent_dim, config.dropout
+    return (_dropout_mask((config.seq_len, d, batch), p, rng), _dropout_mask((d, batch), p, rng))
+
+
+def _encode(store: ParameterStore, item_ids, rng: np.random.Generator | None = None,
+            masks: DropoutMasks | None = None) -> Tensor:
     """The (d, B) sequence vector of a (B, L) id batch (0 = padding). With
-    an `rng`, inverted dropout is applied to the embedded inputs and to the
-    combined vector, drawing masks from it."""
+    `masks`, or with an `rng` to draw them from (`dropout_masks`), inverted
+    dropout is applied to the embedded inputs and to the combined vector."""
     config = store.config
     ids = np.asarray(item_ids, dtype=np.intp)
     if ids.ndim != 2 or ids.shape[1] != config.seq_len:
         raise ValueError(f"item_ids must be (B, {config.seq_len}), got shape {ids.shape}")
-    dropout = rng is not None and config.dropout > 0.0
     if not config.scales:
         return ad.constant(np.zeros((config.latent_dim, ids.shape[0])))
     batch, steps = ids.shape
+    if masks is None and rng is not None:
+        masks = dropout_masks(config, batch, rng)
     x = _embed(store, ids)
-    if dropout:
-        # one draw per timestep in order, laid out time-major like x
-        mask = _dropout_mask((steps, config.latent_dim, batch), config.dropout, rng)
-        x = ad.mul(x, ad.constant(mask.transpose(1, 0, 2).reshape(config.latent_dim, -1)))
+    if masks is not None:
+        # laid out time-major like x
+        x = ad.mul(x, ad.constant(masks[0].transpose(1, 0, 2).reshape(config.latent_dim, -1)))
 
     # every scale's first layer reads x: share its shifted prefixes
     x_shifted = _shifted_inputs(x, batch, min(max(config.scales), steps))
@@ -391,28 +433,28 @@ def _encode(store: ParameterStore, item_ids, rng: np.random.Generator | None = N
         hidden_seqs.append(hidden)
 
     combined = _aggregate(hidden_seqs, config.aggregation, batch)
-    if dropout:
-        mask = _dropout_mask(combined.shape, config.dropout, rng)
-        combined = ad.mul(combined, ad.constant(mask))
+    if masks is not None:
+        combined = ad.mul(combined, ad.constant(masks[1]))
     return combined
 
 
 def forward_batch(store: ParameterStore, item_ids, user_ids, candidate_ids,
-                  mode: str = "eval", rng: np.random.Generator | None = None
-                  ) -> tuple[Tensor, Tensor]:
+                  mode: str = "eval", rng: np.random.Generator | None = None,
+                  masks: DropoutMasks | None = None) -> tuple[Tensor, Tensor]:
     """Run the network over a batch: `_encode`, then `predict_scores`.
 
     item_ids: (B, L) int, 0 = padding; user_ids: (B,); candidate_ids: (B, C).
     Returns the (B, C) scores and the (d, B) sequence vector they score.
     In "train" mode inverted dropout is applied to the embedded inputs and
-    to the combined sequence vector, drawing masks from `rng`.
+    to the combined sequence vector, with `masks` (see `dropout_masks`)
+    when given, else drawing them from `rng`.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
-    if train and store.config.dropout > 0.0 and rng is None:
-        raise ValueError("train-mode forward needs an rng for dropout")
-    combined = _encode(store, item_ids, rng if train else None)
+    if train and _applies_dropout(store.config) and rng is None and masks is None:
+        raise ValueError("train-mode forward needs an rng or masks for dropout")
+    combined = _encode(store, item_ids, rng, masks) if train else _encode(store, item_ids)
     return predict_scores(combined, user_ids, store, candidate_ids), combined
 
 

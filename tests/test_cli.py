@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qrseq import training
 from qrseq.cli import CONFIG_KEYS, _parse_bool, _parse_scales, main, resolve_run_config
+from qrseq.model import ModelConfig
 from helpers import rewrite_checkpoint, rewrite_config_keys, write_interactions_csv
 
 
@@ -602,6 +604,26 @@ def test_parallel_ablate_matches_sequential(small_dataset, tmp_path, monkeypatch
                 "--config", cfg, "--out", par_out]) == 0
     assert (seq_out / "ablation_output-gate.csv").read_bytes() == \
         (par_out / "ablation_output-gate.csv").read_bytes()
+
+
+def test_parallel_ablate_workers_start_no_shard_thread(
+        small_dataset, tmp_path, monkeypatch):
+    # at d = 128 each variant's one batch of 270 windows is sharded; a worker
+    # process runs both shards itself, so N processes keep to N cores
+    cfg = ablate_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("latent_dim = 4", "latent_dim = 128")
+                   .replace("batch_size = 64", "batch_size = 512"), encoding="utf-8")
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("an ablate worker process started a shard thread")
+
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(training, "ThreadPoolExecutor", no_thread)
+    assert training._shards(ModelConfig(num_items=40, num_users=30), 270)[1] == slice(135, 270)
+    monkeypatch.setenv("QRSEQ_THREADS", "2")
+    assert run(["ablate", "--data", small_dataset, "--study", "output-gate",
+                "--config", cfg, "--out", tmp_path / "abl"]) == 0
 
 
 @pytest.mark.parametrize("threads", ["two", "0", ""])

@@ -217,6 +217,26 @@ def test_copy_owns_its_flat_arrays():
     assert clone.head_bias.value[1] != store.head_bias.value[1]
 
 
+def test_a_grad_sibling_reads_the_stores_values_and_accumulates_into_its_own_grads():
+    store = layout_store()
+    sibling = store.grad_sibling()
+    assert sibling.flat_values is store.flat_values
+    assert not np.shares_memory(sibling.flat_grads, store.flat_grads)
+    assert not sibling.flat_grads.any()
+    for (name, p), q in zip(store.named_parameters().items(),
+                            sibling.named_parameters().values()):
+        assert q.value.base is store.flat_values and q.value.shape == p.shape, name
+        assert np.shares_memory(q.value, p.value) and q.grad.base is sibling.flat_grads, name
+    contexts, users, candidates = np.array([[3, 1, 4, 1]]), np.array([2]), np.array([[7, 8]])
+    for s in (store, sibling):
+        with ad.record():
+            scores, _ = forward_batch(s, contexts, users, candidates)
+            loss = ad.sum_all(scores)
+        ad.backward(loss)
+    assert store.flat_grads.any()
+    assert sibling.flat_grads.tobytes() == store.flat_grads.tobytes()
+
+
 # -- embedding ----------------------------------------------------------------
 
 

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import gc
 import math
+import multiprocessing
+import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -409,6 +412,243 @@ def test_single_window_overfits_quickly():
         if loss_value < 0.01:
             break
     assert loss_value < 0.01
+
+
+# -- shards ------------------------------------------------------------------------
+
+
+def sharded_setup(**model_overrides):
+    """d = 64 at batches of 512: each half's (d, L*B) matrix has 81920 entries,
+    past SHARD_MIN_ENTRIES, and so has each half of the short last batch of 448."""
+    log, model_cfg, splits = tiny_setup(num_users=80, num_items=60, seq_len=15,
+                                        latent_dim=64, **model_overrides)
+    assert len(splits.train_users) == 960
+    assert model_cfg.latent_dim * model_cfg.seq_len * 224 >= training.SHARD_MIN_ENTRIES
+    return log, model_cfg, splits, TrainConfig(seed=21, lr=0.01, batch_size=512)
+
+
+def usable_cpus(monkeypatch, count, blas_threads="1"):
+    """Let the process use `count` CPUs, with BLAS held to `blas_threads` by
+    the environment (None: not held)."""
+    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(count)))
+    for variable in training.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(variable, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OMP_NUM_THREADS", blas_threads)
+
+
+def recording_forward(monkeypatch):
+    """Wrap the training loop's `forward_batch`; each call appends its
+    thread, (B, L) contexts, users, candidates, masks and the number of
+    live threads."""
+    calls = []
+    real = training.forward_batch
+
+    def forward(store, contexts, users, candidates, **kwargs):
+        calls.append(SimpleNamespace(thread=threading.current_thread(), store=store,
+                                     contexts=contexts, users=users, candidates=candidates,
+                                     masks=kwargs.get("masks"), live=threading.active_count()))
+        return real(store, contexts, users, candidates, **kwargs)
+
+    monkeypatch.setattr(training, "forward_batch", forward)
+    return calls
+
+
+def shard_pairs(calls, store):
+    """The recorded calls of each sharded step, the first shard's first:
+    its shard runs on `store`, the second on a sibling."""
+    assert len(calls) % 2 == 0
+    return [sorted(calls[i:i + 2], key=lambda c: c.store is not store)
+            for i in range(0, len(calls), 2)]
+
+
+def test_shards_split_by_shape_alone():
+    config = ModelConfig(num_items=5, num_users=2)  # d = 128, L = 5: 640 entries a sequence
+    assert training._shards(config, 512) == [slice(0, 256), slice(256, 512)]
+    assert training._shards(config, 207) == [slice(0, 103), slice(103, 207)]
+    assert training._shards(config, 205) == [slice(0, 205)]  # 102 * 640 < 2**16 in a half
+    assert training._shards(replace(config, latent_dim=32), 512) == [slice(0, 512)]
+
+
+@pytest.mark.parametrize("cpus, blas_threads", [(2, "1"), (1, "1"), (2, None), (2, "2")])
+def test_a_sharded_epoch_runs_the_second_shard_on_a_worker_thread_given_two_cpus_for_it(
+        monkeypatch, cpus, blas_threads):
+    # a BLAS not held to one thread uses the second CPU itself
+    log, model_cfg, splits, cfg = sharded_setup()
+    usable_cpus(monkeypatch, cpus, blas_threads)
+    worker = cpus == 2 and blas_threads == "1"
+    calls = recording_forward(monkeypatch)
+    before = threading.active_count()
+    store = ParameterStore(model_cfg, rng_streams.stream(21, "init"))
+    train_epoch(log, splits, store, AdamState(store), cfg, epoch=1)
+    pairs = shard_pairs(calls, store)
+    assert [(len(a.users), len(b.users)) for a, b in pairs] == [(256, 256), (224, 224)]
+    main = threading.main_thread()
+    assert all(a.thread is main and (b.thread is not main) == worker for a, b in pairs)
+    assert all(a.store is store and b.store is not store for a, b in pairs)
+    assert threading.active_count() == before  # the worker is joined with the epoch
+
+
+def test_a_seeded_sharded_run_is_bit_identical_on_one_cpu_and_on_two(monkeypatch):
+    log, model_cfg, splits, cfg = sharded_setup(use_output_gate=True, aggregation="L+M")
+    results = []
+    for cpus in (2, 1):
+        usable_cpus(monkeypatch, cpus)
+        store = ParameterStore(model_cfg, rng_streams.stream(21, "init"))
+        state = AdamState(store)
+        losses = [train_epoch(log, splits, store, state, cfg, epoch=e)[0] for e in (1, 2)]
+        results.append((losses, store.flat_values.tobytes(), state.m.tobytes(),
+                        state.v.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_a_sharded_step_matches_one_unsharded_pass_over_the_batch(monkeypatch):
+    # the step's loss and merged gradients, taken where the loop checks them,
+    # against one forward_batch over the whole batch with the same masks
+    log, model_cfg, splits, cfg = sharded_setup(use_output_gate=True, num_layers=2)
+    usable_cpus(monkeypatch, 2)
+    calls = recording_forward(monkeypatch)
+    checked = []
+    real_check = training._check_finite
+
+    def check(loss, store, epoch, batch):
+        checked.append((loss, store.flat_grads.copy(), store.flat_values.copy()))
+        real_check(loss, store, epoch, batch)
+
+    monkeypatch.setattr(training, "_check_finite", check)
+    store = ParameterStore(model_cfg, rng_streams.stream(21, "init"))
+    train_epoch(log, splits, store, AdamState(store), cfg, epoch=1)
+    pairs = shard_pairs(calls, store)
+    assert len(pairs) == len(checked) == 2
+    for halves, (loss, grads, values) in zip(pairs, checked):
+        whole = ParameterStore(model_cfg)
+        np.copyto(whole.flat_values, values)
+        with ad.record():
+            scores, _ = training.forward_batch(
+                whole, *(np.concatenate([getattr(c, key) for c in halves])
+                         for key in ("contexts", "users", "candidates")),
+                mode="train",
+                masks=tuple(np.concatenate(m, axis=-1) for m in zip(*(c.masks for c in halves))))
+            whole_loss = bce_loss(ad.slice_cols(scores, 0, 1), ad.slice_cols(scores, 1, 4))
+        ad.backward(whole_loss)
+        assert loss == pytest.approx(whole_loss.item(), rel=1e-12, abs=0)
+        sharded = ParameterStore(model_cfg)
+        np.copyto(sharded.flat_grads, grads)
+        for name, p in whole.named_parameters().items():
+            got = sharded.named_parameters()[name].grad
+            assert np.abs(got - p.grad).max() <= 1e-12 * np.abs(p.grad).max(), name
+
+
+def test_shards_take_slices_of_the_batchs_single_draw_of_dropout_masks(monkeypatch):
+    # the masks the encoder drew from the dropout stream for the whole batch:
+    # the inputs' (L, d, B), then the combined vector's (d, B)
+    log, model_cfg, splits, cfg = sharded_setup()
+    calls = recording_forward(monkeypatch)
+    store = ParameterStore(model_cfg, rng_streams.stream(21, "init"))
+    train_epoch(log, splits, store, AdamState(store), cfg, epoch=3)
+    stream = rng_streams.stream(cfg.seed, "dropout", 3)
+    p, d, length = model_cfg.dropout, model_cfg.latent_dim, model_cfg.seq_len
+    for first, second in shard_pairs(calls, store):
+        batch = len(first.users) + len(second.users)
+        expected = ((stream.random((length, d, batch)) >= p) / (1 - p),
+                    (stream.random((d, batch)) >= p) / (1 - p))
+        for drawn, got_first, got_second in zip(expected, first.masks, second.masks):
+            assert np.array_equal(got_first, drawn[..., :len(first.users)])
+            assert np.array_equal(got_second, drawn[..., len(first.users):])
+
+
+def test_each_shard_takes_every_large_array_from_its_workspace_from_the_second_step_on(
+        monkeypatch):
+    # as for one shard, below: the default model at batches of 512 is
+    # sharded, and the second shard's workspace serves its worker thread
+    log = chain_log(num_users=100, num_items=80, seq_len=20, seed=3)
+    config = ModelConfig(num_items=log.item_count, num_users=log.user_count)
+    splits = make_splits(log, config.seq_len)
+    assert len(splits.train_users) // 512 == 3
+    made = []
+
+    def workspace():
+        made.append(CountingWorkspace())
+        return made[-1]
+
+    monkeypatch.setattr(training.ad, "Workspace", workspace)
+    usable_cpus(monkeypatch, 2)
+    calls = recording_forward(monkeypatch)
+    store = ParameterStore(config, rng_streams.stream(5, "init"))
+    train_epoch(log, splits, store, AdamState(store), TrainConfig(seed=5, batch_size=512), 1)
+    assert any(c.thread is not threading.main_thread() for c in calls)
+    assert len(made) == 2
+    for workspace in made:
+        first, *rest = workspace.counts[:3]
+        assert first[1] > 0
+        assert all(hits > 0 and misses == 0 for hits, misses in rest), workspace.counts
+
+
+def test_an_unsharded_epoch_starts_no_thread(monkeypatch):
+    # batches of 3, as in the criterion-1 and benchmark gradient checks, and
+    # the toy sizes of the benchmark's smoke check (d = 16, batches of 64)
+    usable_cpus(monkeypatch, 2)
+    calls = recording_forward(monkeypatch)
+    before = threading.active_count()
+    for latent_dim, batch_size in ((4, 3), (16, 64)):
+        log, model_cfg, splits = tiny_setup(num_users=40, latent_dim=latent_dim)
+        store = ParameterStore(model_cfg, rng_streams.stream(3, "init"))
+        train_epoch(log, splits, store, AdamState(store),
+                    TrainConfig(seed=3, batch_size=batch_size), epoch=1)
+    assert calls and all(c.live == before for c in calls)
+    assert all(c.thread is threading.main_thread() for c in calls)
+
+
+def test_a_process_forked_after_a_sharded_epoch_trains_sharded_epochs(monkeypatch):
+    log, model_cfg, splits, cfg = sharded_setup()
+    usable_cpus(monkeypatch, 2)
+
+    def run_epochs():
+        store = ParameterStore(model_cfg, rng_streams.stream(21, "init"))
+        state = AdamState(store)
+        for epoch in (1, 2):
+            train_epoch(log, splits, store, state, cfg, epoch)
+        return store.flat_values.tobytes()
+
+    expected = run_epochs()
+    context = multiprocessing.get_context("fork")
+    results = context.Queue()
+    child = context.Process(target=lambda: results.put(run_epochs()))
+    child.start()
+    try:
+        got = results.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert got == expected
+    assert child.exitcode == 0
+
+
+def test_a_shards_numpy_warnings_are_silenced_on_its_own_thread(monkeypatch):
+    # the error state the loop sets on its thread does not reach the worker:
+    # the worker sets its own
+    log, model_cfg, splits, cfg = sharded_setup()
+    usable_cpus(monkeypatch, 2)
+    calls = recording_forward(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError):
+            fit(log, splits, model_cfg, replace(cfg, lr=1e300, base_epochs=3), EvalConfig(),
+                evaluate_fn=lambda store, split: fake_report(0.0))
+    assert any(c.thread is not threading.main_thread() for c in calls)
+
+
+def test_run_shards_inline_keeps_every_shard_on_the_calling_thread(monkeypatch):
+    log, model_cfg, splits, cfg = sharded_setup()
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(training, "_shards_inline", False)
+    training.run_shards_inline()
+    calls = recording_forward(monkeypatch)
+    store = ParameterStore(model_cfg, rng_streams.stream(21, "init"))
+    train_epoch(log, splits, store, AdamState(store), cfg, epoch=1)
+    assert len(calls) == 4
+    assert all(c.thread is threading.main_thread() for c in calls)
 
 
 def ad_forward(store, contexts, users, candidates):
