@@ -105,7 +105,7 @@ class InteractionLog:
         version = data.get("format_version")
         if type(version) is not int or version != DATASET_VERSION:  # not JSON true or 1.0
             raise CompatibilityError(
-                f"{path}: dataset format version {version} not supported "
+                f"{path}: dataset format version {version!r} not supported "
                 f"(expected {DATASET_VERSION})"
             )
         missing = sorted({"sequences", "user_ids", "item_ids"} - data.keys())

@@ -186,7 +186,7 @@ class ParameterStore:
         """Take `flat_values` as the values and a new zero array as the
         gradients, and make every parameter's views into them."""
         self.flat_values = flat_values
-        self.flat_grads = np.zeros_like(flat_values)
+        self.flat_grads = np.zeros(flat_values.size)  # calloc: no page resident until written
         self._params: dict[str, Tensor] = {}
         lo = 0
         for name, shape, size, _ in _layout(self.config):
@@ -398,11 +398,10 @@ def dropout_masks(config: ModelConfig, batch: int, rng: np.random.Generator
     return (_dropout_mask((config.seq_len, d, batch), p, rng), _dropout_mask((d, batch), p, rng))
 
 
-def _encode(store: ParameterStore, item_ids, rng: np.random.Generator | None = None,
-            masks: DropoutMasks | None = None) -> Tensor:
+def _encode(store: ParameterStore, item_ids, masks: DropoutMasks | None = None) -> Tensor:
     """The (d, B) sequence vector of a (B, L) id batch (0 = padding). With
-    `masks`, or with an `rng` to draw them from (`dropout_masks`), inverted
-    dropout is applied to the embedded inputs and to the combined vector."""
+    `masks` (`dropout_masks`), inverted dropout is applied to the embedded
+    inputs and to the combined vector."""
     config = store.config
     ids = np.asarray(item_ids, dtype=np.intp)
     if ids.ndim != 2 or ids.shape[1] != config.seq_len:
@@ -410,8 +409,6 @@ def _encode(store: ParameterStore, item_ids, rng: np.random.Generator | None = N
     if not config.scales:
         return ad.constant(np.zeros((config.latent_dim, ids.shape[0])))
     batch, steps = ids.shape
-    if masks is None and rng is not None:
-        masks = dropout_masks(config, batch, rng)
     x = _embed(store, ids)
     if masks is not None:
         # laid out time-major like x
@@ -439,22 +436,21 @@ def _encode(store: ParameterStore, item_ids, rng: np.random.Generator | None = N
 
 
 def forward_batch(store: ParameterStore, item_ids, user_ids, candidate_ids,
-                  mode: str = "eval", rng: np.random.Generator | None = None,
-                  masks: DropoutMasks | None = None) -> tuple[Tensor, Tensor]:
+                  mode: str = "eval", masks: DropoutMasks | None = None) -> tuple[Tensor, Tensor]:
     """Run the network over a batch: `_encode`, then `predict_scores`.
 
     item_ids: (B, L) int, 0 = padding; user_ids: (B,); candidate_ids: (B, C).
     Returns the (B, C) scores and the (d, B) sequence vector they score.
     In "train" mode inverted dropout is applied to the embedded inputs and
-    to the combined sequence vector, with `masks` (see `dropout_masks`)
-    when given, else drawing them from `rng`.
+    to the combined sequence vector with `masks` (see `dropout_masks`),
+    which a model with dropout requires.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     train = mode == "train"
-    if train and _applies_dropout(store.config) and rng is None and masks is None:
-        raise ValueError("train-mode forward needs an rng or masks for dropout")
-    combined = _encode(store, item_ids, rng, masks) if train else _encode(store, item_ids)
+    if train and _applies_dropout(store.config) and masks is None:
+        raise ValueError("train-mode forward needs the batch's dropout_masks")
+    combined = _encode(store, item_ids, masks if train else None)
     return predict_scores(combined, user_ids, store, candidate_ids), combined
 
 
@@ -541,7 +537,7 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
         version = meta["format_version"]
         if type(version) is not int or version != CHECKPOINT_VERSION:  # not JSON true or 1.0
             raise CompatibilityError(
-                f"{path}: checkpoint format version {version} "
+                f"{path}: checkpoint format version {version!r} "
                 f"not supported (expected {CHECKPOINT_VERSION})"
             )
         stored = meta["config"]
@@ -564,7 +560,12 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
                 f"unexpected {sorted(found - expected)}"
             )
         for name, p in store.named_parameters().items():
-            arr = bundle[name]
+            try:
+                arr = bundle[name]
+            except ValueError as exc:  # an object array, or a broken member
+                raise CompatibilityError(f"{path}: unreadable parameter {name} ({exc})") from exc
+            if arr.dtype.kind != "f" or arr.dtype.itemsize != 8:  # float64 in either byte order
+                raise CompatibilityError(f"{path}: parameter {name} is {arr.dtype}, not float64")
             if arr.shape != p.value.shape:
                 raise CompatibilityError(
                     f"{path}: shape mismatch for {name}: {arr.shape} vs {p.value.shape}"

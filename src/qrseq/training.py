@@ -25,14 +25,15 @@ batches are split depends on their shape alone, and a shard computes the
 same bits on either thread, so seeded runs give the same result on any
 CPU count. With one usable CPU, or a BLAS that the environment does not
 hold to one thread (`_shard_thread_wanted`), the second shard runs after
-the first on the calling thread. The worker thread starts at an epoch's
-first sharded step and is joined when the epoch ends, so no thread
-outlives `train_epoch` for a later `fork` to leave behind.
+the first on the calling thread. The worker thread is made at the start
+of an epoch whose full batches split and is joined when the epoch ends,
+so no thread outlives `train_epoch` for a later `fork` to leave behind.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,15 +265,21 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
     k = config.negatives_per_target
 
     total_loss = 0.0
-    # The steps reuse one another's arrays, each shard the same shard's. The
-    # second shard's store, workspace and thread are made at its first step;
-    # the thread is joined when the epoch ends.
-    stores, workspaces, worker = [store], [ad.Workspace()], None
-    try:
+    # Which batches split depends on their shape alone, and no batch is
+    # larger than the first: its shards plan the epoch's sibling stores,
+    # workspaces and worker. The steps reuse one another's arrays, each
+    # shard the same shard's, and the worker is joined when the epoch ends.
+    planned = _shards(store.config, min(config.batch_size, n))
+    stores = [store] + [store.grad_sibling() for _ in planned[1:]]
+    workspaces = [ad.Workspace() for _ in planned]
+    threaded = len(planned) > 1 and _shard_thread_wanted()
+    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="qrseq-shard") if threaded
+          else nullcontext()) as worker:
         for step, lo in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[lo:lo + config.batch_size]
             if len(batch) < config.batch_size:
-                workspaces = [None, None]  # a short last batch has other shapes: free the arrays
+                # a short last batch has other shapes: free the arrays
+                workspaces = [None] * len(planned)
             users = splits.train_users[batch]
             contexts = splits.train_contexts[batch]
             targets = splits.train_targets[batch]
@@ -282,40 +289,25 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
             candidates = np.concatenate([targets[:, None], negatives], axis=1)
             # drawn for the whole batch, so the stream does not depend on the shards
             masks = dropout_masks(store.config, len(batch), dropout_rng)
-            shards = _shards(store.config, len(batch))
-            if len(shards) > len(stores):
-                stores.append(store.grad_sibling())
-                if len(workspaces) < 2:
-                    workspaces.append(ad.Workspace())
-                if _shard_thread_wanted():
-                    worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qrseq-shard")
             jobs = [(s, contexts[sl], users[sl], candidates[sl],
                      None if masks is None else tuple(m[..., sl] for m in masks), ws)
-                    for s, sl, ws in zip(stores, shards, workspaces)]
+                    for s, sl, ws in zip(stores, _shards(store.config, len(batch)), workspaces)]
 
-            store.zero_grads()
-            if len(jobs) == 1:
-                batch_loss = _shard_loss(*jobs[0])
-            else:
-                stores[1].zero_grads()
-                if worker is None:
-                    first, second = (_shard_loss(*job) for job in jobs)
-                else:
-                    pending = worker.submit(_shard_loss, *jobs[1])
-                    try:
-                        first = _shard_loss(*jobs[0])
-                    finally:
-                        second = pending.result()  # waits for it even when the first raised
-                store.flat_grads += stores[1].flat_grads
-                batch_loss = first + second
+            for shard_store in stores[:len(jobs)]:
+                shard_store.zero_grads()
+            # the shards after the first run on the worker if there is one,
+            # else after the first on this thread
+            on_worker = [worker.submit(_shard_loss, *job) for job in jobs[1:]] if worker else []
+            losses = [_shard_loss(*job) for job in jobs[:len(jobs) - len(on_worker)]]
+            losses += [future.result() for future in on_worker]
+            for sibling in stores[1:len(jobs)]:  # one this batch did not use holds stale grads
+                store.flat_grads += sibling.flat_grads
+            batch_loss = sum(losses)
             # Overflow and NaN are caught by _check_finite, not reported by NumPy.
             with np.errstate(over="ignore", invalid="ignore"):
                 _check_finite(batch_loss, store, epoch, step)
                 adam_step(store, state, config.lr, config.l2)
             total_loss += batch_loss
-    finally:
-        if worker is not None:
-            worker.shutdown()
 
     bad = store.first_non_finite()
     if bad is not None:

@@ -390,6 +390,19 @@ def test_evaluate_checkpoint_with_non_finite_values_exits_1(trained, small_datas
     assert "parameter head_bias holds non-finite values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dtype", [complex, str, object, bool, np.int64, np.float32])
+def test_evaluate_checkpoint_with_a_member_that_is_not_float64_exits_1(trained, small_dataset,
+                                                                       capsys, dtype):
+    path = trained / "checkpoint.npz"
+
+    def convert(meta, arrays):
+        arrays["head_bias"] = arrays["head_bias"].astype(dtype)
+    rewrite_checkpoint(path, convert)
+    code = run(["evaluate", "--checkpoint", path, "--data", small_dataset])
+    assert code == 1
+    assert "parameter head_bias" in one_error_line(capsys)
+
+
 def test_evaluate_incompatible_dataset_fails(trained, tmp_path, capsys):
     other_raw = tmp_path / "other.csv"
     write_interactions_csv(other_raw, sequences=[[f"x{k}" for k in range(11)]] * 4)

@@ -1,6 +1,7 @@
 """Model blocks: gating, pooling, aggregation, scoring, checkpoints."""
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from qrseq.model import (
     _embed,
     _pool,
     _shifted_inputs,
+    dropout_masks,
     forward_batch,
     load_checkpoint,
     predict_scores,
@@ -215,6 +217,25 @@ def test_copy_owns_its_flat_arrays():
         assert np.shares_memory(p.grad, clone.flat_grads), name
     clone.head_bias.value[1] += 1.0
     assert clone.head_bias.value[1] != store.head_bias.value[1]
+
+
+def resident_bytes() -> int:
+    with open("/proc/self/status", encoding="ascii") as fh:
+        line = next(line for line in fh if line.startswith("VmRSS:"))
+    return int(line.split()[1]) * 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_copy_keeps_only_its_values_resident():
+    # 5.0M parameters, so each flat array (40 MB) is past glibc's 32 MB
+    # mmap ceiling and comes from the kernel untouched: the copy writes its
+    # values and leaves its zero gradients unwritten
+    store = ParameterStore(ModelConfig(num_items=13000, num_users=2, scales=(1,)))
+    assert store.flat_values.nbytes > 32 << 20
+    before = resident_bytes()
+    clone = store.copy()
+    grown = resident_bytes() - before
+    assert 0.9 * clone.flat_values.nbytes < grown < 1.3 * clone.flat_values.nbytes
 
 
 def test_a_grad_sibling_reads_the_stores_values_and_accumulates_into_its_own_grads():
@@ -458,14 +479,19 @@ def test_profile_only_variant_scores_ignore_context():
     assert np.array_equal(a.value, b.value)
 
 
-def test_train_mode_needs_rng_and_uses_dropout():
+def test_train_mode_needs_masks_and_uses_dropout():
     store = small_store(dropout=0.5)
     ids = [[1, 2, 3, 4]]
-    with pytest.raises(ValueError, match="rng"):
+    with pytest.raises(ValueError, match="dropout_masks"):
         forward_batch(store, ids, [1], [[5]], mode="train")
-    a, _ = forward_batch(store, ids, [1], [[5]], mode="train", rng=rng_streams.stream(0, "d"))
-    b, _ = forward_batch(store, ids, [1], [[5]], mode="train", rng=rng_streams.stream(0, "d"))
-    c, _ = forward_batch(store, ids, [1], [[5]], mode="train", rng=rng_streams.stream(1, "d"))
+    with pytest.raises(TypeError, match="rng"):
+        forward_batch(store, ids, [1], [[5]], mode="train", rng=rng_streams.stream(0, "d"))
+
+    def train(seed):
+        masks = dropout_masks(store.config, 1, rng_streams.stream(seed, "d"))
+        return forward_batch(store, ids, [1], [[5]], mode="train", masks=masks)[0]
+
+    a, b, c = train(0), train(0), train(1)
     assert a.value.tobytes() == b.value.tobytes()
     assert a.value.tobytes() != c.value.tobytes()
 
@@ -612,7 +638,8 @@ def test_training_step_records_one_entry_per_stage():
         cands = rng.integers(1, 31, size=(batch, 4))
         with ad.record() as tape:
             scores, _ = forward_batch(store, ids, users, cands, mode="train",
-                                      rng=rng_streams.stream(2, "dropout"))
+                                      masks=dropout_masks(cfg, batch,
+                                                          rng_streams.stream(2, "dropout")))
             bce_loss(ad.slice_cols(scores, 0, 1), ad.slice_cols(scores, 1, 4))
         counts.append(len(tape.records))
     assert counts[0] == counts[1] <= 90
@@ -642,7 +669,7 @@ def test_each_gate_and_pool_of_a_training_step_keeps_one_array(monkeypatch):
     with ad.record():
         forward_batch(store, rng.integers(0, 31, size=(6, 5)), rng.integers(1, 11, size=6),
                       rng.integers(1, 31, size=(6, 4)), mode="train",
-                      rng=rng_streams.stream(2, "dropout"))
+                      masks=dropout_masks(cfg, 6, rng_streams.stream(2, "dropout")))
     gates = [ops for kind, ops in stages if kind == "gate"]
     pools = [ops for kind, ops in stages if kind == "pool"]
     assert len(gates) == len(pools) == 5
@@ -783,7 +810,7 @@ def test_checkpoint_config_keys_must_match(tmp_path, drop, add, named):
     assert named in str(err.value)
 
 
-@pytest.mark.parametrize("version", [2, True, 1.0])
+@pytest.mark.parametrize("version", [2, True, 1.0, "1\n2"])  # "1\n2": the message stays one line
 def test_checkpoint_rejects_a_version_that_is_not_the_int_1(tmp_path, version):
     path = tmp_path / "model.npz"
     save_checkpoint(path, small_store())

@@ -9,17 +9,22 @@ example database, so each run draws the same examples.
 """
 from __future__ import annotations
 
+import contextlib
 import inspect
+import io
+import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrseq import autodiff as ad
 from qrseq import rng as rng_streams
+from qrseq.cli import main
 from qrseq.data import InteractionLog, make_splits
+from qrseq.errors import QrseqError
 from qrseq.evaluation import EvalConfig, evaluate, target_ranks
 from qrseq.model import AGGREGATIONS, ModelConfig, ParameterStore, load_checkpoint, save_checkpoint
 from helpers import numeric_gradient, oracle_rank, reference_splits, relative_errors
@@ -169,6 +174,76 @@ def test_make_splits_matches_the_window_by_window_reference(log, seq_len):
             assert a == b
         else:
             assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), f.name
+
+
+# -- malformed datasets ------------------------------------------------------------
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+NOT_LISTS = JSON_SCALARS | st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2)
+NOT_STRINGS = st.none() | st.booleans() | st.integers() | st.floats() | st.lists(st.text(),
+                                                                                 max_size=2)
+REQUIRED_KEYS = ("format_version", "sequences", "user_ids", "item_ids")
+
+
+@st.composite
+def malformed_datasets(draw):
+    """The bytes of a processed-dataset file that breaks the format in one
+    drawn way, each of which `InteractionLog.load` must reject."""
+    n_items = draw(st.integers(1, 4))
+    sequences = draw(st.lists(st.lists(st.integers(1, n_items), max_size=5),
+                              min_size=1, max_size=3))
+    doc = {"format_version": 1, "sequences": sequences,
+           "user_ids": [f"u{u}" for u in range(len(sequences))],
+           "item_ids": [f"i{i}" for i in range(n_items)]}
+    fault = draw(st.sampled_from(["bytes", "truncated", "not-an-object", "version", "missing",
+                                  "ids", "id", "sequences", "sequence", "item", "no-users"]))
+    if fault == "bytes":  # not UTF-8
+        return b"\xff" + draw(st.binary(max_size=8))
+    text = json.dumps(doc)
+    if fault == "truncated":
+        return text[:draw(st.integers(0, len(text) - 1))].encode()
+    if fault == "not-an-object":
+        return json.dumps(draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))).encode()
+    if fault == "version":
+        doc["format_version"] = draw(JSON_VALUES.filter(lambda v: not (type(v) is int and v == 1)))
+    elif fault == "missing":
+        del doc[draw(st.sampled_from(REQUIRED_KEYS))]
+    elif fault == "ids":
+        doc[draw(st.sampled_from(["user_ids", "item_ids"]))] = draw(NOT_LISTS)
+    elif fault == "id":
+        ids = doc[draw(st.sampled_from(["user_ids", "item_ids"]))]
+        ids[draw(st.integers(0, len(ids) - 1))] = draw(NOT_STRINGS)
+    elif fault == "sequences":  # not a list, or one entry too many or too few
+        doc["sequences"] = draw(NOT_LISTS | st.just(sequences + [[1]]) | st.just(sequences[1:]))
+    elif fault == "sequence":
+        sequences[draw(st.integers(0, len(sequences) - 1))] = draw(NOT_LISTS)
+    elif fault == "item":
+        seq = draw(st.sampled_from(sequences))
+        bad = draw(st.sampled_from([0, -1, n_items + 1, True, False, 1.0, "1", None, [1]]))
+        seq.insert(draw(st.integers(0, len(seq))), bad)
+    else:  # a well-formed file with no user
+        doc.update(sequences=[], user_ids=[])
+    return json.dumps(doc).encode()
+
+
+@PROPERTY
+@given(malformed_datasets())
+@example(b'{"format_version": "1\\n2", "sequences": [], "user_ids": [], "item_ids": []}')
+def test_a_malformed_dataset_fails_with_one_error_line(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "malformed.json"
+    path.write_bytes(raw)
+    with pytest.raises(QrseqError):
+        InteractionLog.load(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["evaluate", "--baseline", "poprec", "--seed", "0", "--data", str(path)])
+    assert code in (1, 2)
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
 
 
 # -- autodiff ops against central differences -----------------------------------

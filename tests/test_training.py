@@ -7,6 +7,7 @@ import multiprocessing
 import threading
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -502,41 +503,105 @@ def test_a_seeded_sharded_run_is_bit_identical_on_one_cpu_and_on_two(monkeypatch
     assert results[0] == results[1]
 
 
+def recording_checks(monkeypatch):
+    """Wrap the training loop's `_check_finite`; each call appends the
+    step's loss, its merged gradients and the values they were taken at."""
+    checked = []
+    real = training._check_finite
+
+    def check(loss, store, epoch, batch):
+        checked.append((loss, store.flat_grads.copy(), store.flat_values.copy()))
+        real(loss, store, epoch, batch)
+
+    monkeypatch.setattr(training, "_check_finite", check)
+    return checked
+
+
+def whole_batch_pass(config, values, calls):
+    """One forward_batch, loss and backward over the recorded calls' batches
+    joined, with their masks, at `values`; returns (loss, the pass's store)."""
+    whole = ParameterStore(config)
+    np.copyto(whole.flat_values, values)
+    with ad.record():
+        scores, _ = training.forward_batch(
+            whole, *(np.concatenate([getattr(c, key) for c in calls])
+                     for key in ("contexts", "users", "candidates")),
+            mode="train",
+            masks=tuple(np.concatenate(m, axis=-1) for m in zip(*(c.masks for c in calls))))
+        loss = bce_loss(ad.slice_cols(scores, 0, 1), ad.slice_cols(scores, 1, 4))
+    ad.backward(loss)
+    return loss.item(), whole
+
+
 def test_a_sharded_step_matches_one_unsharded_pass_over_the_batch(monkeypatch):
     # the step's loss and merged gradients, taken where the loop checks them,
     # against one forward_batch over the whole batch with the same masks
     log, model_cfg, splits, cfg = sharded_setup(use_output_gate=True, num_layers=2)
     usable_cpus(monkeypatch, 2)
     calls = recording_forward(monkeypatch)
-    checked = []
-    real_check = training._check_finite
-
-    def check(loss, store, epoch, batch):
-        checked.append((loss, store.flat_grads.copy(), store.flat_values.copy()))
-        real_check(loss, store, epoch, batch)
-
-    monkeypatch.setattr(training, "_check_finite", check)
+    checked = recording_checks(monkeypatch)
     store = ParameterStore(model_cfg, rng_streams.stream(21, "init"))
     train_epoch(log, splits, store, AdamState(store), cfg, epoch=1)
     pairs = shard_pairs(calls, store)
     assert len(pairs) == len(checked) == 2
     for halves, (loss, grads, values) in zip(pairs, checked):
-        whole = ParameterStore(model_cfg)
-        np.copyto(whole.flat_values, values)
-        with ad.record():
-            scores, _ = training.forward_batch(
-                whole, *(np.concatenate([getattr(c, key) for c in halves])
-                         for key in ("contexts", "users", "candidates")),
-                mode="train",
-                masks=tuple(np.concatenate(m, axis=-1) for m in zip(*(c.masks for c in halves))))
-            whole_loss = bce_loss(ad.slice_cols(scores, 0, 1), ad.slice_cols(scores, 1, 4))
-        ad.backward(whole_loss)
-        assert loss == pytest.approx(whole_loss.item(), rel=1e-12, abs=0)
+        whole_loss, whole = whole_batch_pass(model_cfg, values, halves)
+        assert loss == pytest.approx(whole_loss, rel=1e-12, abs=0)
         sharded = ParameterStore(model_cfg)
         np.copyto(sharded.flat_grads, grads)
         for name, p in whole.named_parameters().items():
             got = sharded.named_parameters()[name].grad
             assert np.abs(got - p.grad).max() <= 1e-12 * np.abs(p.grad).max(), name
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["worker", "inline"])
+def test_a_mixed_epoch_runs_its_short_last_batch_whole_on_the_store(monkeypatch, cpus):
+    # batches of 450 of the 960 windows: each full batch's halves have 216000
+    # entries and are sharded; the last batch of 60 (28800 a half) is not,
+    # and its check sees its own gradients, none a sibling kept from before
+    log, model_cfg, splits, cfg = sharded_setup(use_output_gate=True)
+    cfg = replace(cfg, batch_size=450)
+    assert model_cfg.latent_dim * model_cfg.seq_len * 30 < training.SHARD_MIN_ENTRIES
+    usable_cpus(monkeypatch, cpus)
+    calls = recording_forward(monkeypatch)
+    checked = recording_checks(monkeypatch)
+    store = ParameterStore(model_cfg, rng_streams.stream(21, "init"))
+    train_epoch(log, splits, store, AdamState(store), cfg, epoch=1)
+    *sharded, last = calls
+    pairs = shard_pairs(sharded, store)
+    assert [(len(a.users), len(b.users)) for a, b in pairs] == [(225, 225)] * 2
+    assert any(c.thread is not threading.main_thread() for c in sharded) == (cpus == 2)
+    assert len(last.users) == 60 and last.store is store
+    assert last.thread is threading.main_thread()
+    loss, grads, values = checked[-1]
+    whole_loss, whole = whole_batch_pass(model_cfg, values, [last])
+    assert loss == whole_loss
+    assert grads.tobytes() == whole.flat_grads.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["worker", "inline"])
+def test_a_batchs_shards_run_with_no_earlier_batchs_dropout_masks_alive(monkeypatch, cpus):
+    # a batch's masks are as large as a gate's sequence matrix; one still
+    # held by the next batch's step would add to that step's peak memory
+    log, model_cfg, splits, cfg = sharded_setup()
+    usable_cpus(monkeypatch, cpus)
+    drawn, alive = [], []
+    real_masks, real_loss = training.dropout_masks, training._shard_loss
+
+    def masks(*args):
+        out = real_masks(*args)
+        drawn.append([weakref.ref(m) for m in out])
+        return out
+
+    def shard_loss(*args):
+        alive.append(sum(ref() is not None for refs in drawn[:-1] for ref in refs))
+        return real_loss(*args)
+
+    monkeypatch.setattr(training, "dropout_masks", masks)
+    monkeypatch.setattr(training, "_shard_loss", shard_loss)
+    store = ParameterStore(model_cfg, rng_streams.stream(21, "init"))
+    train_epoch(log, splits, store, AdamState(store), cfg, epoch=1)
+    assert alive == [0, 0, 0, 0]
 
 
 def test_shards_take_slices_of_the_batchs_single_draw_of_dropout_masks(monkeypatch):
