@@ -177,6 +177,7 @@ def _run_training(data_path: str, run_cfg: RunConfig, out_dir: Path) -> dict:
         ),
     )
 
+    digest = log.digest()
     save_checkpoint(
         out_dir / "checkpoint.npz",
         result.store,
@@ -185,6 +186,7 @@ def _run_training(data_path: str, run_cfg: RunConfig, out_dir: Path) -> dict:
             "best_epoch": result.best_epoch,
             "eval_num_negatives": eval_cfg.num_negatives,
             "eval_k": eval_cfg.k,
+            "dataset_sha256": digest,
         },
     )
     k = eval_cfg.k
@@ -199,6 +201,7 @@ def _run_training(data_path: str, run_cfg: RunConfig, out_dir: Path) -> dict:
         "format_version": MANIFEST_VERSION,
         "seq_len": splits.seq_len,
         "seed": train_cfg.seed,
+        "dataset_sha256": digest,
         "users": log.user_count,
         "items": log.item_count,
         "train_windows": int(len(splits.train_targets)),
@@ -243,6 +246,12 @@ def cmd_evaluate(args) -> int:
             raise CompatibilityError(
                 f"checkpoint was trained on {cfg.num_users} users / {cfg.num_items} items "
                 f"but the dataset has {log.user_count} / {log.item_count}"
+            )
+        trained_on = extra.get("dataset_sha256")  # a checkpoint without one is refused too
+        if trained_on != log.digest():
+            raise CompatibilityError(
+                f"checkpoint was not trained on this dataset: its dataset_sha256 is "
+                f"{trained_on!r}, the dataset's is {log.digest()!r}"
             )
         scorer = ModelScorer(store)
         if args.seed is None and "seed" not in extra:

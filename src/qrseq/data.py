@@ -9,6 +9,7 @@ context padding.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,9 +91,17 @@ class InteractionLog:
             "sequences": self.sequences,
         }
 
+    def _text(self) -> str:
+        """The canonical JSON text of the log: what `save` writes."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
     def save(self, path) -> None:
-        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        atomic.write_text(path, text + "\n")
+        atomic.write_text(path, self._text())
+
+    def digest(self) -> str:
+        """SHA-256 (hex) of the canonical text `save` writes: it names the
+        ids and every sequence in order, so a model can be tied to its data."""
+        return hashlib.sha256(self._text().encode("utf-8")).hexdigest()
 
     @classmethod
     def load(cls, path) -> "InteractionLog":

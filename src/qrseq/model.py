@@ -46,7 +46,7 @@ from .errors import CompatibilityError, ConfigError, check_types
 
 AGGREGATIONS = ("S+S", "L+S", "L+M", "S+M", "M+M")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 INIT_STD = 0.01
 
@@ -156,10 +156,9 @@ class ParameterStore:
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None = None,
                  init_std: float = INIT_STD):
-        self.config = config
         layout = _layout(config)
         total = sum(size for _, _, size, _ in layout)
-        self._bind(np.zeros(total))
+        self._bind(config, np.zeros(total))
         runs: list[list[int]] = []  # [lo, hi) spans of consecutive drawn tensors
         lo = 0
         for _, _, size, drawn in layout:
@@ -182,27 +181,27 @@ class ParameterStore:
         if config.use_user_profile:
             self.user_embeddings.value[0] = 0.0
 
-    def _bind(self, flat_values: np.ndarray) -> None:
+    @classmethod
+    def over(cls, config: ModelConfig, flat_values: np.ndarray) -> "ParameterStore":
+        """A store whose values are `flat_values` itself, not a copy (every
+        parameter in `_layout(config)` order), with its own zero gradients."""
+        store = cls.__new__(cls)
+        store._bind(config, flat_values)
+        return store
+
+    def _bind(self, config: ModelConfig, flat_values: np.ndarray) -> None:
         """Take `flat_values` as the values and a new zero array as the
         gradients, and make every parameter's views into them."""
+        self.config = config
         self.flat_values = flat_values
         self.flat_grads = np.zeros(flat_values.size)  # calloc: no page resident until written
         self._params: dict[str, Tensor] = {}
         lo = 0
-        for name, shape, size, _ in _layout(self.config):
+        for name, shape, size, _ in _layout(config):
             hi = lo + size
             self._params[name] = ad.parameter(self.flat_values[lo:hi].reshape(shape),
                                               self.flat_grads[lo:hi].reshape(shape))
             lo = hi
-
-    def grad_sibling(self) -> "ParameterStore":
-        """A store over this one's values, `flat_values` itself, with its own
-        zero gradients: a forward pass through it reads the same parameters,
-        and its backward accumulates into the sibling's `flat_grads` alone."""
-        sibling = object.__new__(ParameterStore)
-        sibling.config = self.config
-        sibling._bind(self.flat_values)
-        return sibling
 
     # -- access ------------------------------------------------------------
 
@@ -254,9 +253,7 @@ class ParameterStore:
 
     def copy(self) -> "ParameterStore":
         """A store with its own arrays holding these values; zero gradients."""
-        clone = ParameterStore(self.config)
-        np.copyto(clone.flat_values, self.flat_values)
-        return clone
+        return ParameterStore.over(self.config, self.flat_values.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -497,26 +494,29 @@ class ModelScorer:
 
 
 def save_checkpoint(path, store: ParameterStore, extra: dict | None = None) -> None:
-    """Write config + every parameter array; values round-trip bit-exactly.
+    """Write the config and `store.flat_values`; values round-trip bit-exactly.
 
-    As with `np.savez`, ".npz" is appended to a path without it. The file
-    is replaced atomically, so an interrupted save leaves the old one.
+    The file holds `__meta__` (JSON of the format version, config and
+    `extra`) and `values`, every parameter in `_layout` order: a change to
+    that layout needs a new CHECKPOINT_VERSION. As with `np.savez`, ".npz"
+    is appended to a path without it. The file is replaced atomically, so
+    an interrupted save leaves the old one.
     """
     meta = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(store.config),
         "extra": extra or {},
     }
-    arrays = {name: p.value for name, p in store.named_parameters().items()}
     path = str(path)
     if not path.endswith(".npz"):
         path += ".npz"
     with atomic.replacing(path) as fh:
-        np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+        np.savez(fh, __meta__=np.array(json.dumps(meta, sort_keys=True)), values=store.flat_values)
 
 
 def load_checkpoint(path) -> tuple[ParameterStore, dict]:
-    """Load a checkpoint; returns (store, extra-metadata)."""
+    """Load a checkpoint; returns (store, extra-metadata). The store is
+    `ParameterStore.over` the `values` array read from the file, not a copy."""
     # numpy leaves a file it cannot read open; closing ours releases the bundle too
     with open(path, "rb") as fh:
         try:
@@ -551,26 +551,19 @@ def load_checkpoint(path) -> tuple[ParameterStore, dict]:
             config = ModelConfig(**stored)
         except ConfigError as exc:
             raise CompatibilityError(f"{path}: not a model checkpoint ({exc})") from exc
-        store = ParameterStore(config)
-        expected = set(store.named_parameters())
-        found = set(bundle.files) - {"__meta__"}
-        if expected != found:
+        if set(bundle.files) != {"__meta__", "values"}:
             raise CompatibilityError(
-                f"{path}: parameter mismatch; missing {sorted(expected - found)}, "
-                f"unexpected {sorted(found - expected)}"
-            )
-        for name, p in store.named_parameters().items():
-            try:
-                arr = bundle[name]
-            except ValueError as exc:  # an object array, or a broken member
-                raise CompatibilityError(f"{path}: unreadable parameter {name} ({exc})") from exc
-            if arr.dtype.kind != "f" or arr.dtype.itemsize != 8:  # float64 in either byte order
-                raise CompatibilityError(f"{path}: parameter {name} is {arr.dtype}, not float64")
-            if arr.shape != p.value.shape:
-                raise CompatibilityError(
-                    f"{path}: shape mismatch for {name}: {arr.shape} vs {p.value.shape}"
-                )
-            np.copyto(p.value, arr)
+                f"{path}: not a model checkpoint (members {sorted(bundle.files)})")
+        try:
+            values = bundle["values"]
+        except ValueError as exc:  # an object array, or a broken member
+            raise CompatibilityError(f"{path}: unreadable values ({exc})") from exc
+    if values.dtype.kind != "f" or values.dtype.itemsize != 8:  # float64 in either byte order
+        raise CompatibilityError(f"{path}: values are {values.dtype}, not float64")
+    total = sum(size for _, _, size, _ in _layout(config))
+    if values.shape != (total,):
+        raise CompatibilityError(f"{path}: values of shape {values.shape}, not ({total},)")
+    store = ParameterStore.over(config, values.astype(np.float64, copy=False))
     bad = store.first_non_finite()
     if bad is not None:
         raise CompatibilityError(f"{path}: parameter {bad} holds non-finite values")

@@ -18,7 +18,7 @@ A batch whose halves are each large enough (`_shards`) is trained as two
 half-batch shards. Each shard runs its own forward pass, loss and
 backward on its own thread's tape and workspace: the first on the calling
 thread into the store's gradients, the second on a worker thread into a
-sibling store's (`ParameterStore.grad_sibling`), which is then added into
+sibling store's (`ParameterStore.over` its values), which is then added into
 the store's before the one divergence check and Adam step. NumPy and BLAS
 release the GIL, so on two cores the shards run side by side. Which
 batches are split depends on their shape alone, and a shard computes the
@@ -270,7 +270,7 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
     # workspaces and worker. The steps reuse one another's arrays, each
     # shard the same shard's, and the worker is joined when the epoch ends.
     planned = _shards(store.config, min(config.batch_size, n))
-    stores = [store] + [store.grad_sibling() for _ in planned[1:]]
+    stores = [store] + [ParameterStore.over(store.config, store.flat_values) for _ in planned[1:]]
     workspaces = [ad.Workspace() for _ in planned]
     threaded = len(planned) > 1 and _shard_thread_wanted()
     with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="qrseq-shard") if threaded

@@ -309,7 +309,7 @@ def write_interactions_csv(path, sequences: list[list[str]] | None = None,
 
 def rewrite_checkpoint(path, edit) -> None:
     """Rewrite a checkpoint after `edit(meta, arrays)` changes its parsed
-    metadata and its parameter arrays in place."""
+    metadata and its other members (`values`) in place."""
     with np.load(path) as bundle:
         arrays = {name: bundle[name] for name in bundle.files}
     meta = json.loads(str(arrays.pop("__meta__")))

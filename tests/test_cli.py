@@ -11,8 +11,9 @@ import pytest
 
 from qrseq import training
 from qrseq.cli import CONFIG_KEYS, _parse_bool, _parse_scales, main, resolve_run_config
-from qrseq.model import ModelConfig
-from helpers import rewrite_checkpoint, rewrite_config_keys, write_interactions_csv
+from qrseq.data import InteractionLog
+from qrseq.model import ModelConfig, load_checkpoint
+from helpers import chain_log, rewrite_checkpoint, rewrite_config_keys, write_interactions_csv
 
 
 def run(args):
@@ -383,7 +384,7 @@ def test_evaluate_checkpoint_with_non_finite_values_exits_1(trained, small_datas
     path = trained / "checkpoint.npz"
 
     def poison(meta, arrays):
-        arrays["head_bias"][1] = np.nan
+        arrays["values"][-1] = np.nan  # the last entry of head_bias, the last parameter
     rewrite_checkpoint(path, poison)
     code = run(["evaluate", "--checkpoint", path, "--data", small_dataset])
     assert code == 1
@@ -396,11 +397,59 @@ def test_evaluate_checkpoint_with_a_member_that_is_not_float64_exits_1(trained, 
     path = trained / "checkpoint.npz"
 
     def convert(meta, arrays):
-        arrays["head_bias"] = arrays["head_bias"].astype(dtype)
+        arrays["values"] = arrays["values"].astype(dtype)
     rewrite_checkpoint(path, convert)
     code = run(["evaluate", "--checkpoint", path, "--data", small_dataset])
     assert code == 1
-    assert "parameter head_bias" in one_error_line(capsys)
+    assert " values " in one_error_line(capsys)
+
+
+def test_evaluate_a_v1_checkpoint_exits_1(trained, small_dataset, capsys):
+    # a checkpoint in the first format: one member per parameter name
+    path = trained / "checkpoint.npz"
+    store, _ = load_checkpoint(path)
+
+    def to_v1(meta, arrays):
+        meta["format_version"] = 1
+        del arrays["values"]
+        arrays.update((name, p.value) for name, p in store.named_parameters().items())
+    rewrite_checkpoint(path, to_v1)
+    code = run(["evaluate", "--checkpoint", path, "--data", small_dataset])
+    assert code == 1
+    assert "checkpoint format version 1 not supported (expected 2)" in one_error_line(capsys)
+
+
+def test_train_records_the_datasets_digest(trained, small_dataset):
+    # the dataset file holds the canonical text that the digest hashes
+    digest = hashlib.sha256(small_dataset.read_bytes()).hexdigest()
+    assert load_checkpoint(trained / "checkpoint.npz")[1]["dataset_sha256"] == digest
+    assert json.loads((trained / "split_manifest.json").read_text())["dataset_sha256"] == digest
+
+
+def test_evaluate_refuses_a_checkpoint_trained_on_other_data(base_config, tmp_path, capsys):
+    log = chain_log(num_users=40, num_items=30, seq_len=12, seed=3)
+    data, reversed_data = tmp_path / "data.json", tmp_path / "reversed.json"
+    log.save(data)
+    InteractionLog([seq[::-1] for seq in log.sequences], log.user_ids, log.item_ids).save(
+        reversed_data)
+    out = tmp_path / "run"
+    assert run(["train", "--data", data, "--config", base_config, "--out", out,
+                "--set", "seed=1", "--set", "base_epochs=1", "--set", "max_epochs=1",
+                "--set", "latent_dim=8"]) == 0
+    capsys.readouterr()
+    # same users and items, so only the digest tells the two logs apart
+    code = run(["evaluate", "--checkpoint", out / "checkpoint.npz", "--data", reversed_data])
+    assert code == 1
+    assert "not trained on this dataset" in one_error_line(capsys)
+    assert run(["evaluate", "--checkpoint", out / "checkpoint.npz", "--data", data]) == 0
+
+
+def test_evaluate_refuses_a_checkpoint_without_a_dataset_digest(trained, small_dataset, capsys):
+    path = trained / "checkpoint.npz"
+    rewrite_checkpoint(path, lambda meta, arrays: meta["extra"].pop("dataset_sha256"))
+    code = run(["evaluate", "--checkpoint", path, "--data", small_dataset])
+    assert code == 1
+    assert "its dataset_sha256 is None" in one_error_line(capsys)
 
 
 def test_evaluate_incompatible_dataset_fails(trained, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Model blocks: gating, pooling, aggregation, scoring, checkpoints."""
 from __future__ import annotations
 
+import hashlib
 import os
 import warnings
 
@@ -238,9 +239,21 @@ def test_a_copy_keeps_only_its_values_resident():
     assert 0.9 * clone.flat_values.nbytes < grown < 1.3 * clone.flat_values.nbytes
 
 
-def test_a_grad_sibling_reads_the_stores_values_and_accumulates_into_its_own_grads():
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_a_loaded_checkpoint_keeps_only_its_values_resident(tmp_path):
+    # as for a copy: the loaded values are the one array read from the file
+    store = ParameterStore(ModelConfig(num_items=13000, num_users=2, scales=(1,)))
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, store)
+    before = resident_bytes()
+    loaded, _ = load_checkpoint(path)
+    grown = resident_bytes() - before
+    assert 0.9 * loaded.flat_values.nbytes < grown < 1.1 * loaded.flat_values.nbytes
+
+
+def test_a_store_over_anothers_values_reads_them_and_accumulates_into_its_own_grads():
     store = layout_store()
-    sibling = store.grad_sibling()
+    sibling = ParameterStore.over(store.config, store.flat_values)
     assert sibling.flat_values is store.flat_values
     assert not np.shares_memory(sibling.flat_grads, store.flat_grads)
     assert not sibling.flat_grads.any()
@@ -775,6 +788,47 @@ def test_loaded_checkpoint_owns_its_flat_arrays(tmp_path):
         assert np.shares_memory(p.grad, first.flat_grads), name
 
 
+def test_a_loaded_store_is_over_the_array_read_from_the_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, layout_store())
+    read = {}
+    getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def recording(bundle, key):
+        read[key] = getitem(bundle, key)
+        return read[key]
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.flat_values is read["values"]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda arrays: arrays.update(extra=np.zeros(1)), "members ['__meta__', 'extra', 'values']"),
+    (lambda arrays: arrays.pop("values"), "members ['__meta__']"),
+    (lambda arrays: arrays.update(values=arrays["values"][:-1]), "shape (312,)"),
+    (lambda arrays: arrays.update(values=np.append(arrays["values"], 0.0)), "shape (314,)"),
+    (lambda arrays: arrays.update(values=arrays["values"].reshape(1, -1)), "shape (1, 313)"),
+], ids=["extra-member", "no-values", "short", "long", "2-d"])
+def test_checkpoint_values_must_be_one_vector_of_the_configs_size(tmp_path, edit, named):
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, layout_store())
+    rewrite_checkpoint(path, lambda meta, arrays: edit(arrays))
+    with pytest.raises(CompatibilityError, match="model.npz: ") as err:
+        load_checkpoint(path)
+    assert named in str(err.value)
+
+
+def test_checkpoint_values_load_in_either_byte_order(tmp_path):
+    store = layout_store()
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, store)
+    swapped = store.flat_values.astype(store.flat_values.dtype.newbyteorder())
+    rewrite_checkpoint(path, lambda meta, arrays: arrays.update(values=swapped))
+    loaded, _ = load_checkpoint(path)
+    assert loaded.flat_values.dtype == np.float64
+    assert loaded.flat_values.tobytes() == store.flat_values.tobytes()
+
+
 def test_checkpoint_metadata_format_is_pinned(tmp_path):
     cfg = small_config(latent_dim=2, scales=(3, 1), num_layers=2, use_output_gate=True,
                        use_user_profile=False, aggregation="L+M", dropout=0.25)
@@ -782,13 +836,59 @@ def test_checkpoint_metadata_format_is_pinned(tmp_path):
     save_checkpoint(path, ParameterStore(cfg), extra={"seed": 7})
     with np.load(path) as bundle:
         meta = str(bundle["__meta__"])
+        assert bundle.files == ["__meta__", "values"]
     assert meta == (
         '{"config": {"aggregation": "L+M", "dropout": 0.25, "latent_dim": 2, "num_items": 12, '
         '"num_layers": 2, "num_users": 4, "scales": [1, 3], "seq_len": 4, '
         '"use_output_gate": true, "use_user_profile": false}, '
-        '"extra": {"seed": 7}, "format_version": 1}'
+        '"extra": {"seed": 7}, "format_version": 2}'
     )
     assert load_checkpoint(path)[0].config == cfg
+
+
+# (name, offset, shape) of every parameter in the checkpoint's `values`
+# vector for layout_store()'s config. A checkpoint stores the bare vector,
+# so a change to this layout must come with a new CHECKPOINT_VERSION.
+LAYOUT_STORE_V2 = [
+    ("item_embeddings", 0, (13, 3)), ("user_embeddings", 39, (5, 3)),
+    ("forget_w1_l0_k0", 54, (3, 3)), ("forget_bias_w1_l0", 63, (3, 1)),
+    ("output_w1_l0_k0", 66, (3, 3)), ("output_bias_w1_l0", 75, (3, 1)),
+    ("forget_w1_l1_k0", 78, (3, 3)), ("forget_bias_w1_l1", 87, (3, 1)),
+    ("output_w1_l1_k0", 90, (3, 3)), ("output_bias_w1_l1", 99, (3, 1)),
+    ("forget_w3_l0_k0", 102, (3, 3)), ("forget_w3_l0_k1", 111, (3, 3)),
+    ("forget_w3_l0_k2", 120, (3, 3)), ("forget_bias_w3_l0", 129, (3, 1)),
+    ("output_w3_l0_k0", 132, (3, 3)), ("output_w3_l0_k1", 141, (3, 3)),
+    ("output_w3_l0_k2", 150, (3, 3)), ("output_bias_w3_l0", 159, (3, 1)),
+    ("forget_w3_l1_k0", 162, (3, 3)), ("forget_w3_l1_k1", 171, (3, 3)),
+    ("forget_w3_l1_k2", 180, (3, 3)), ("forget_bias_w3_l1", 189, (3, 1)),
+    ("output_w3_l1_k0", 192, (3, 3)), ("output_w3_l1_k1", 201, (3, 3)),
+    ("output_w3_l1_k2", 210, (3, 3)), ("output_bias_w3_l1", 219, (3, 1)),
+    ("head_weights", 222, (13, 6)), ("head_bias", 300, (13,)),
+]
+
+
+def test_the_layout_a_checkpoint_is_read_with_is_pinned_to_its_version():
+    store = layout_store()
+    layout = [(name, (p.value.__array_interface__["data"][0]
+                      - store.flat_values.__array_interface__["data"][0]) // 8, p.shape)
+              for name, p in store.named_parameters().items()]
+    assert model.CHECKPOINT_VERSION == 2
+    assert layout == LAYOUT_STORE_V2
+    assert store.flat_values.size == 313
+
+
+def test_saved_values_are_the_v1_members_end_to_end(tmp_path):
+    store = layout_store()
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, store)
+    with np.load(path) as bundle:
+        values = bundle["values"]
+    # one array per name, as v1 checkpoints held them, concatenated in layout order
+    members = np.concatenate([p.value.ravel() for p in store.named_parameters().values()])
+    assert values.dtype == np.float64 and values.tobytes() == members.tobytes()
+    # the same bytes a v1 checkpoint of this seeded store held, member after member
+    assert hashlib.sha256(values.tobytes()).hexdigest() == (
+        "ad47015cb8604b6eafe86d27a08af4218b87ef8438ed1cdc8ebab588f8cb02b0")
 
 
 @pytest.mark.parametrize("drop, add, named", [
@@ -810,8 +910,8 @@ def test_checkpoint_config_keys_must_match(tmp_path, drop, add, named):
     assert named in str(err.value)
 
 
-@pytest.mark.parametrize("version", [2, True, 1.0, "1\n2"])  # "1\n2": the message stays one line
-def test_checkpoint_rejects_a_version_that_is_not_the_int_1(tmp_path, version):
+@pytest.mark.parametrize("version", [1, True, 2.0, "2\n1"])  # "2\n1": the message stays one line
+def test_checkpoint_rejects_a_version_that_is_not_the_int_2(tmp_path, version):
     path = tmp_path / "model.npz"
     save_checkpoint(path, small_store())
     rewrite_checkpoint(path, lambda meta, arrays: meta.update(format_version=version))
