@@ -93,8 +93,16 @@ _SIGMOID_HI = np.nextafter(1.0, 0.0)
 # serves such sizes from its free lists without returning pages to the system.
 SPARE_MIN_BYTES = 1 << 16
 
-_tls = threading.local()
-_tls.workspace = None  # every op reads it, and a missing attribute is slow to look up
+class _ThreadState(threading.local):
+    """This thread's active tape and workspace. The class attributes are
+    every thread's defaults, so a thread that never set them (a worker that
+    runs off the tape) reads None as fast as one that did."""
+
+    tape: Tape | None = None
+    workspace: Workspace | None = None
+
+
+_tls = _ThreadState()
 
 
 class Tensor:
@@ -231,7 +239,7 @@ class Tape:
 
 
 def _active_tape() -> Tape | None:
-    return getattr(_tls, "tape", None)
+    return _tls.tape
 
 
 @contextmanager
@@ -257,7 +265,7 @@ def _empty(shape: tuple[int, ...]) -> np.ndarray:
     """An array for an op's output, from this thread's workspace when it
     has one of `shape`, else a new one; either way its entries are stale
     and the op overwrites every one."""
-    workspace = getattr(_tls, "workspace", None)
+    workspace = _tls.workspace
     out = None if workspace is None else workspace.take(shape)
     return np.empty(shape) if out is None else out
 
@@ -287,7 +295,7 @@ def backward(root: Tensor) -> None:
     if not tape.records:
         raise ValueError("backward root's tape was already consumed by an earlier backward")
     root.grad = np.ones_like(root.value)
-    workspace, outer = tape.workspace, getattr(_tls, "workspace", None)
+    workspace, outer = tape.workspace, _tls.workspace
     _tls.workspace = workspace
     records = tape.records
     try:
@@ -352,7 +360,7 @@ def _adjoint(t: Tensor) -> np.ndarray:
 def _drop(a: np.ndarray) -> None:
     """Hand the workspace, if this thread has one, an array that the running
     backward step is done with; `backward` gives it once the step returns."""
-    workspace = getattr(_tls, "workspace", None)
+    workspace = _tls.workspace
     if workspace is not None and a.nbytes >= SPARE_MIN_BYTES:
         workspace.drop(a)
 
@@ -714,7 +722,7 @@ def shifted_sum(terms: Sequence[Tensor], offsets: Sequence[int],
     out_val = sums[-1]
     out = Tensor(out_val)
     if inplace:
-        workspace = getattr(_tls, "workspace", None)
+        workspace = _tls.workspace
         sums.clear()  # so each term's old array is referenced by `spare` alone
         for t, o in zip(terms[:-1], offsets):
             spare = t.value
@@ -750,7 +758,7 @@ def gated_scan(f: Tensor, take: Tensor, width: int, inplace: bool = False) -> Te
     for lo in range(width, n, width):
         np.multiply(fv[:, lo:lo + width], c[:, lo - width:lo], out=carried)
         c[:, lo:lo + width] += carried
-    workspace = getattr(_tls, "workspace", None)
+    workspace = _tls.workspace
     if workspace is not None:
         workspace.give(carried)
     out = Tensor(c)

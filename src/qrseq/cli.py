@@ -20,8 +20,8 @@ from . import atomic
 from .data import InteractionLog, first_non_utf8_line, ingest, make_splits, preprocess
 from .errors import CompatibilityError, ConfigError, QrseqError
 from .evaluation import EvalConfig, evaluate, poprec_baseline
-from .model import ModelConfig, ModelScorer, load_checkpoint, save_checkpoint
-from .training import FitResult, TrainConfig, fit, run_shards_inline
+from .model import ModelConfig, ModelScorer, load_checkpoint, run_shards_inline, save_checkpoint
+from .training import FitResult, TrainConfig, fit
 
 CSV_VERSION_LINE = "# format_version=1"
 
@@ -342,7 +342,8 @@ def cmd_ablate(args) -> int:
 
     results: list[float] = []
     if workers > 1:
-        # each process trains its shards one after the other: N processes use N cores
+        # each process trains its shards and scores its chunks on its own thread:
+        # N processes use N cores
         with ProcessPoolExecutor(max_workers=workers, initializer=run_shards_inline) as pool:
             for _, ndcg in pool.map(_ablate_worker, jobs):
                 results.append(ndcg)

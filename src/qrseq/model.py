@@ -29,11 +29,20 @@ Every forward pass scores its candidates by gathering their head rows
 (`predict_scores`), on the tape or off it. Only evaluation (`ModelScorer`)
 scores a catalogue small enough for the candidate count with one GEMM
 over every item instead.
+
+The thread policy lives here too: whether a unit of work, half a training
+batch (`qrseq.training`) or one evaluation chunk (`ModelScorer`), runs on
+a second thread (`_fills_a_thread`, `_second_thread_wanted`,
+`_second_thread`, `run_shards_inline`).
 """
 from __future__ import annotations
 
+import contextvars
 import json
+import os
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
@@ -62,6 +71,84 @@ SCORE_CHUNK = 128  # users per eval-mode forward in ModelScorer
 # C = 21 and 41 the GEMM still won at 48 rows per candidate and lost at 95;
 # at C = 101 the two tied at 74.
 HEAD_GEMM_ROWS_PER_CANDIDATE = 50
+
+# The elements of a flat array that `ParameterStore.first_non_finite` tests
+# at a time, so its one-byte-per-value mask stays at 64 KiB.
+FINITE_BLOCK = 1 << 16
+
+
+# ---------------------------------------------------------------------------
+# the thread policy: when a unit of work gets a second thread
+#
+# Training splits a large batch into two half-batch shards, and evaluation
+# scores a split in SCORE_CHUNK-user chunks. Both may run every second unit
+# on one worker thread, made and joined inside the call that needs it.
+# NumPy and BLAS release the GIL, so on two cores the units run side by side,
+# and a unit computes the same bits on either thread.
+
+# A unit -- half a training batch or one evaluation chunk -- goes to a second
+# thread only when its (d, L*B) sequence matrix has at least this many
+# entries. With training shards on two threads, an epoch at L = 5 ran, against
+# the unsharded epoch, 1.72x as fast at d = 128 and B = 512 (halves of 164k
+# entries), 1.55x at d = 64 (82k) and 1.29x at d = 32 (41k); at 20k entries
+# 0.95-1.09x, at 10k 0.63-0.66x and at d = 16, B = 64 (2.6k) 0.48x, as each
+# shard's fixed cost per op outweighs the overlap. Run one after the other on
+# one thread, shards of 41k entries cost 5% over the unsharded epoch and of
+# 164k none. Scoring a 500-user split in 4 chunks on two threads ran 1.49x as
+# fast at d = 128 (82k entries per chunk), 1.26x at d = 64 (41k), 0.84x at
+# d = 32 and 0.78x at d = 16 (float64, OpenBLAS on one thread, 2-core x86-64 VM).
+SHARD_MIN_ENTRIES = 1 << 16
+
+_shards_inline = False
+
+
+def run_shards_inline() -> None:
+    """Run every unit of work on the calling thread from now on, training
+    shards and evaluation chunks alike: for a process whose sibling
+    processes use the machine's other cores."""
+    global _shards_inline
+    _shards_inline = True
+
+
+# Where OpenBLAS reads its thread count from, the first one set.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fills_a_thread(config: ModelConfig, rows: int) -> bool:
+    """Whether a unit of work over `rows` sequences is large enough for a
+    thread of its own: its (d, L*rows) matrix has SHARD_MIN_ENTRIES entries."""
+    return config.latent_dim * config.seq_len * rows >= SHARD_MIN_ENTRIES
+
+
+def _second_thread_wanted() -> bool:
+    """Whether large units of work should use a second thread: when this
+    process may use two CPUs and the environment holds BLAS to one thread,
+    unless `run_shards_inline` was called.
+
+    A BLAS that runs threads of its own already keeps the cores busy, and a
+    second thread calling it only contends with them: on two cores with
+    OpenBLAS at its default of two threads, a train-chain-d128 epoch took
+    5.3-5.5 s with the worker thread and 3.8-4.4 s without it (3.8-4.0 s
+    unsharded).
+    """
+    if _shards_inline:
+        return False
+    blas = next((os.environ[v] for v in BLAS_THREAD_VARIABLES if os.environ.get(v)), "")
+    if blas.strip() != "1":
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _second_thread(units_fill_threads: bool, name: str):
+    """The worker for every second unit of one call: a one-thread pool,
+    joined when the `with` block exits, when the call has two units or more
+    that each fill a thread and `_second_thread_wanted`; else a null context,
+    whose target is None."""
+    if units_fill_threads and _second_thread_wanted():
+        return ThreadPoolExecutor(max_workers=1, thread_name_prefix=name)
+    return nullcontext()
 
 
 @dataclass
@@ -244,9 +331,11 @@ class ParameterStore:
 
     def first_non_finite(self, grads: bool = False) -> str | None:
         """The first parameter whose value (or gradient) has a non-finite
-        entry, None if none has: one pass over the flat array, and a walk
-        over the tensors only when that pass fails."""
-        if np.isfinite(self.flat_grads if grads else self.flat_values).all():
+        entry, None if none has: one pass over the flat array in blocks of
+        FINITE_BLOCK, and a walk over the tensors only when that pass fails."""
+        flat = self.flat_grads if grads else self.flat_values
+        if all(np.isfinite(flat[lo:lo + FINITE_BLOCK]).all()
+               for lo in range(0, flat.size, FINITE_BLOCK)):
             return None
         return next(name for name, p in self._params.items()
                     if not np.isfinite(p.grad if grads else p.value).all())
@@ -462,6 +551,13 @@ class ModelScorer:
     rows; a larger catalogue is scored by `predict_scores`, whose gather
     does not grow with it. The two sum the same products in another order,
     so their scores can differ in the last bits.
+
+    A chunk's scores depend on its own rows alone. So when a call has two
+    chunks or more, each large enough for a thread of its own, and the
+    thread policy wants a second thread (`_second_thread_wanted`), every
+    second chunk is scored on one worker thread, made and joined inside the
+    call, into its own rows of the result and under the caller's NumPy error
+    state: the same chunks and the same bits.
     """
 
     def __init__(self, store: ParameterStore):
@@ -473,12 +569,13 @@ class ModelScorer:
         gemm = store.config.num_items + 1 <= HEAD_GEMM_ROWS_PER_CANDIDATE * cands.shape[1]
         d = store.config.latent_dim
         out = np.empty(cands.shape, dtype=np.float64)
-        for lo in range(0, len(cands), SCORE_CHUNK):  # _encode converts each id chunk
+
+        def score_chunk(lo: int) -> None:
             hi = lo + SCORE_CHUNK
-            o = _encode(store, contexts[lo:hi])
+            o = _encode(store, contexts[lo:hi])  # _encode converts each id chunk
             if not gemm:
                 out[lo:hi] = predict_scores(o, user_ids[lo:hi], store, cands[lo:hi]).value
-                continue
+                return
             z_rows = np.zeros((o.shape[1], 2 * d))  # z transposed: one row per user
             z_rows[:, :d] = o.value.T
             if users is not None:
@@ -486,6 +583,19 @@ class ModelScorer:
             every_item = z_rows @ store.head_weights.value.T  # (B, rows)
             out[lo:hi] = np.take_along_axis(every_item, cands[lo:hi], axis=1)
             out[lo:hi] += store.head_bias.value[cands[lo:hi]]
+
+        starts = range(0, len(cands), SCORE_CHUNK)
+        with _second_thread(len(starts) > 1 and _fills_a_thread(store.config, SCORE_CHUNK),
+                            "qrseq-score") as worker:
+            # the worker's chunks run in a copy of this thread's context, so
+            # that the caller's NumPy error state (a context variable) holds there
+            context = contextvars.copy_context()
+            on_worker = ([worker.submit(context.run, score_chunk, lo) for lo in starts[1::2]]
+                         if worker else [])
+            for lo in starts[::2] if worker else starts:
+                score_chunk(lo)
+            for future in on_worker:
+                future.result()
         return out
 
 

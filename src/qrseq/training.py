@@ -11,29 +11,27 @@ coupling).
 Adam's moments are flat arrays aligned with the parameter store's flat
 values, so each whole-model pass of a step is one pass over flat arrays:
 zeroing the gradients is one fill, the divergence check one `isfinite`
-over the flat gradients, and the Adam update one in-place sweep in blocks
-of ADAM_BLOCK elements, whose two buffers do not grow with the model.
+over the flat gradients in blocks, and the Adam update one in-place sweep
+in blocks of ADAM_BLOCK elements, whose two buffers do not grow with the
+model.
 
-A batch whose halves are each large enough (`_shards`) is trained as two
-half-batch shards. Each shard runs its own forward pass, loss and
-backward on its own thread's tape and workspace: the first on the calling
-thread into the store's gradients, the second on a worker thread into a
-sibling store's (`ParameterStore.over` its values), which is then added into
-the store's before the one divergence check and Adam step. NumPy and BLAS
-release the GIL, so on two cores the shards run side by side. Which
-batches are split depends on their shape alone, and a shard computes the
-same bits on either thread, so seeded runs give the same result on any
-CPU count. With one usable CPU, or a BLAS that the environment does not
-hold to one thread (`_shard_thread_wanted`), the second shard runs after
-the first on the calling thread. The worker thread is made at the start
-of an epoch whose full batches split and is joined when the epoch ends,
-so no thread outlives `train_epoch` for a later `fork` to leave behind.
+A batch whose halves are each large enough for a thread of their own
+(`_shards`) is trained as two half-batch shards. Each shard runs its own
+forward pass, loss and backward on its own thread's tape and workspace:
+the first on the calling thread into the store's gradients, the second
+into a sibling store's (`ParameterStore.over` its values), which is then
+added into the store's before the one divergence check and Adam step.
+Which batches are split depends on their shape alone, and a shard
+computes the same bits on either thread, so seeded runs give the same
+result on any CPU count. Where the second shard runs follows the thread
+policy in `qrseq.model`, which evaluation's chunks follow too: on a worker
+thread (`model._second_thread`) when the policy wants one, else after the
+first on the calling thread. The worker thread is made at the start of an epoch whose full
+batches split and is joined when the epoch ends, so no thread outlives
+`train_epoch` for a later `fork` to leave behind.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +42,8 @@ from .autodiff import Tensor
 from .data import InteractionLog, SplitDataset, sample_negatives
 from .errors import ConfigError, SplitError, TrainingDivergedError, check_types
 from .evaluation import EvalConfig, MetricsReport, evaluate
-from .model import (DropoutMasks, ModelConfig, ModelScorer, ParameterStore, dropout_masks,
-                    forward_batch)
+from .model import (DropoutMasks, ModelConfig, ModelScorer, ParameterStore, _fills_a_thread,
+                    _second_thread, dropout_masks, forward_batch)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -169,57 +167,11 @@ def _check_finite(loss: float, store: ParameterStore, epoch: int, batch: int) ->
     )
 
 
-# A batch is trained as two shards when each half's (d, L*B) sequence
-# matrix has at least this many entries. With the shards on two threads, an
-# epoch at L = 5 ran, against the unsharded epoch, 1.72x as fast at d = 128
-# and B = 512 (halves of 164k entries), 1.55x at d = 64 (82k) and 1.29x at
-# d = 32 (41k); at 20k entries 0.95-1.09x, at 10k 0.63-0.66x and at d = 16,
-# B = 64 (2.6k) 0.48x, as each shard's fixed cost per op outweighs the
-# overlap. Run one after the other on one thread, shards of 41k entries cost
-# 5% over the unsharded epoch and of 164k none (float64, OpenBLAS on one
-# thread, 2-core x86-64 VM).
-SHARD_MIN_ENTRIES = 1 << 16
-
-_shards_inline = False
-
-
-def run_shards_inline() -> None:
-    """Run every second shard on the calling thread from now on: for a
-    process whose sibling processes use the machine's other cores."""
-    global _shards_inline
-    _shards_inline = True
-
-
-# Where OpenBLAS reads its thread count from, the first one set.
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _shard_thread_wanted() -> bool:
-    """Whether a second shard should run on a thread of its own: when this
-    process may use two CPUs and the environment holds BLAS to one thread,
-    unless `run_shards_inline` was called.
-
-    A BLAS that runs threads of its own already keeps the cores busy, and a
-    second thread calling it only contends with them: on two cores with
-    OpenBLAS at its default of two threads, a train-chain-d128 epoch took
-    5.3-5.5 s with the worker thread and 3.8-4.4 s without it (3.8-4.0 s
-    unsharded).
-    """
-    if _shards_inline:
-        return False
-    blas = next((os.environ[v] for v in BLAS_THREAD_VARIABLES if os.environ.get(v)), "")
-    if blas.strip() != "1":
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
-
-
 def _shards(config: ModelConfig, batch: int) -> list[slice]:
-    """The batch's shards: two halves when each half's sequence matrix has
-    SHARD_MIN_ENTRIES entries or more, else the whole batch."""
+    """The batch's shards: two halves when each half is large enough for a
+    thread of its own (`model._fills_a_thread`), else the whole batch."""
     half = batch // 2
-    if config.latent_dim * config.seq_len * half < SHARD_MIN_ENTRIES:
+    if not _fills_a_thread(config, half):
         return [slice(0, batch)]
     return [slice(0, half), slice(half, batch)]
 
@@ -272,9 +224,7 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
     planned = _shards(store.config, min(config.batch_size, n))
     stores = [store] + [ParameterStore.over(store.config, store.flat_values) for _ in planned[1:]]
     workspaces = [ad.Workspace() for _ in planned]
-    threaded = len(planned) > 1 and _shard_thread_wanted()
-    with (ThreadPoolExecutor(max_workers=1, thread_name_prefix="qrseq-shard") if threaded
-          else nullcontext()) as worker:
+    with _second_thread(len(planned) > 1, "qrseq-shard") as worker:
         for step, lo in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[lo:lo + config.batch_size]
             if len(batch) < config.batch_size:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import threading
 import warnings
 import weakref
 
@@ -660,3 +661,19 @@ def test_shifted_sum_terms_used_earlier_keep_the_other_terms_adjoints():
         return ad.add(early, ad.sum_all(ad.mul(mixed, mixed)))
 
     _check_op_gradient(build, rng.normal(size=(2, 6)), rng.normal(size=(2, 4)))
+
+
+def test_a_fresh_thread_has_no_tape_and_no_workspace():
+    seen = []
+
+    def look():
+        seen.append((ad._tls.tape, ad._tls.workspace, ad._active_tape(), ad._tls.__dict__))
+
+    with ad.record(ad.Workspace()):
+        thread = threading.Thread(target=look)
+        thread.start()
+        thread.join()
+        assert ad._tls.tape is not None and ad._tls.workspace is not None
+    # read from the class defaults, not set on the thread
+    assert seen == [(None, None, None, {})]
+    assert ad._tls.tape is None and ad._tls.workspace is None

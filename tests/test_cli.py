@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrseq import training
+from qrseq import model, training
 from qrseq.cli import CONFIG_KEYS, _parse_bool, _parse_scales, main, resolve_run_config
 from qrseq.data import InteractionLog
 from qrseq.model import ModelConfig, load_checkpoint
@@ -670,19 +670,25 @@ def test_parallel_ablate_matches_sequential(small_dataset, tmp_path, monkeypatch
 
 def test_parallel_ablate_workers_start_no_shard_thread(
         small_dataset, tmp_path, monkeypatch):
-    # at d = 128 each variant's one batch of 270 windows is sharded; a worker
-    # process runs both shards itself, so N processes keep to N cores
+    # at d = 128 each variant's one batch of 270 windows is sharded, and with
+    # chunks of 8 users each split's 30 users are scored in 4 chunks, each
+    # past the (lowered) entry threshold; a worker process runs both shards
+    # and every chunk itself, so N processes keep to N cores
     cfg = ablate_config(tmp_path)
     cfg.write_text(cfg.read_text().replace("latent_dim = 4", "latent_dim = 128")
                    .replace("batch_size = 64", "batch_size = 512"), encoding="utf-8")
 
     def no_thread(*args, **kwargs):
-        raise AssertionError("an ablate worker process started a shard thread")
+        raise AssertionError("an ablate worker process started a shard or scoring thread")
 
-    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(training, "ThreadPoolExecutor", no_thread)
-    assert training._shards(ModelConfig(num_items=40, num_users=30), 270)[1] == slice(135, 270)
+    monkeypatch.setattr(model, "SCORE_CHUNK", 8)
+    monkeypatch.setattr(model, "SHARD_MIN_ENTRIES", 128 * 5 * 8)
+    monkeypatch.setattr(model, "ThreadPoolExecutor", no_thread)
+    config = ModelConfig(num_items=40, num_users=30)
+    assert training._shards(config, 270)[1] == slice(135, 270)
+    assert model._fills_a_thread(config, model.SCORE_CHUNK) and model._second_thread_wanted()
     monkeypatch.setenv("QRSEQ_THREADS", "2")
     assert run(["ablate", "--data", small_dataset, "--study", "output-gate",
                 "--config", cfg, "--out", tmp_path / "abl"]) == 0

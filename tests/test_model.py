@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -761,6 +764,132 @@ def test_eval_scoring_with_saturated_gates_emits_no_warning():
     assert np.isfinite(scores).all()
 
 
+def allow_a_second_thread(monkeypatch):
+    """Make the thread policy want a second thread: two usable CPUs, BLAS
+    held to one thread, `run_shards_inline` not called."""
+    monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: {0, 1})
+    for variable in model.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(variable, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(model, "_shards_inline", False)
+    assert model._second_thread_wanted()
+
+
+def recording_encode(monkeypatch, ids):
+    """Wrap `_encode`; each call appends (its thread, its chunk's first row
+    in `ids`), so a chunk is known by where its view starts."""
+    calls = []
+    real = model._encode
+
+    def encode(store, item_ids, masks=None):
+        row = (item_ids.ctypes.data - ids.ctypes.data) // ids.strides[0]
+        calls.append((threading.current_thread(), row))
+        return real(store, item_ids, masks)
+
+    monkeypatch.setattr(model, "_encode", encode)
+    return calls
+
+
+def scoring_case(latent_dim, num_candidates, n, seed=31):
+    """A 2-layer, output-gated model over 200 items and its (users, ids,
+    candidates) for `n` users."""
+    cfg = ModelConfig(num_items=200, num_users=40, latent_dim=latent_dim, scales=(1, 3),
+                      num_layers=2, use_output_gate=True, aggregation="L+M", dropout=0.0)
+    store = ParameterStore(cfg, rng_streams.stream(seed, "init"), init_std=0.1)
+    rng = np.random.default_rng(seed)
+    return (store, rng.integers(1, 41, size=n), rng.integers(0, 201, size=(n, 5)),
+            rng.integers(1, 201, size=(n, num_candidates)))
+
+
+@pytest.mark.parametrize("head_path", ["gemm", "gather"])
+@pytest.mark.parametrize("chunks", [2, 3, 4])
+def test_threaded_scores_are_bit_equal_to_inline_scores(monkeypatch, chunks, head_path):
+    # d = 128, L = 5: each chunk's (d, L*B) matrix has 81920 entries, past
+    # SHARD_MIN_ENTRIES; 201 head rows take the GEMM at 5 candidates, not at 4
+    num_candidates = 5 if head_path == "gemm" else 4
+    n = (chunks - 1) * SCORE_CHUNK + 37  # the last chunk short
+    store, users, ids, cands = scoring_case(128, num_candidates, n)
+    assert model._fills_a_thread(store.config, SCORE_CHUNK)
+    allow_a_second_thread(monkeypatch)
+    gathers = []
+    rows_dot_cols = ad.rows_dot_cols
+    monkeypatch.setattr(ad, "rows_dot_cols", lambda *a: gathers.append(1) or rows_dot_cols(*a))
+    calls = recording_encode(monkeypatch, ids)
+    live = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so the two threads interleave between ops
+    try:
+        threaded = ModelScorer(store).score_batch(users, ids, cands)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == live
+    starts = range(0, n, SCORE_CHUNK)
+    main = threading.main_thread()
+    assert sorted(row for thread, row in calls if thread is main) == list(starts[::2])
+    assert sorted(row for thread, row in calls if thread is not main) == list(starts[1::2])
+    assert len({thread for thread, _ in calls if thread is not main}) == 1
+    assert len(gathers) == (chunks if head_path == "gather" else 0)
+
+    calls.clear()
+    monkeypatch.setattr(model, "_shards_inline", True)
+    inline = ModelScorer(store).score_batch(users, ids, cands)
+    assert [row for _, row in calls] == list(starts)
+    assert all(thread is main for thread, _ in calls)
+    assert threaded.tobytes() == inline.tobytes()
+
+
+@pytest.mark.parametrize("latent_dim, n", [(128, SCORE_CHUNK), (32, 3 * SCORE_CHUNK + 5)],
+                         ids=["one-chunk", "below-threshold"])
+def test_scoring_starts_no_thread_for_one_chunk_or_small_chunks(monkeypatch, latent_dim, n):
+    store, users, ids, cands = scoring_case(latent_dim, 5, n)
+    assert model._fills_a_thread(store.config, SCORE_CHUNK) == (latent_dim == 128)
+    allow_a_second_thread(monkeypatch)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("score_batch started a thread")
+
+    monkeypatch.setattr(model, "ThreadPoolExecutor", no_thread)
+    calls = recording_encode(monkeypatch, ids)
+    live = threading.active_count()
+    ModelScorer(store).score_batch(users, ids, cands)
+    assert threading.active_count() == live
+    assert [row for _, row in calls] == list(range(0, n, SCORE_CHUNK))
+    assert all(thread is threading.main_thread() for thread, _ in calls)
+
+
+def test_the_callers_numpy_error_state_reaches_the_worker_chunks(monkeypatch):
+    # every chunk's GEMM overflows: each user row sums 128 products of 1e307
+    store, users, ids, cands = scoring_case(128, 5, 3 * SCORE_CHUNK)
+    store.user_embeddings.value[:] = 1.0
+    store.head_weights.value[:, :128] = 0.0
+    store.head_weights.value[:, 128:] = 1e307
+    allow_a_second_thread(monkeypatch)
+    calls = recording_encode(monkeypatch, ids)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            scores = ModelScorer(store).score_batch(users, ids, cands)
+    assert any(thread is not threading.main_thread() for thread, _ in calls)
+    assert np.isposinf(scores).all()
+
+
+def test_a_chunk_that_fails_on_the_worker_fails_the_call_and_joins_the_worker(monkeypatch):
+    store, users, ids, cands = scoring_case(128, 5, 2 * SCORE_CHUNK)
+    allow_a_second_thread(monkeypatch)
+    real = model._encode
+
+    def encode(store, item_ids, masks=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker chunk")
+        return real(store, item_ids, masks)
+
+    monkeypatch.setattr(model, "_encode", encode)
+    live = threading.active_count()
+    with pytest.raises(FloatingPointError, match="worker chunk"):
+        ModelScorer(store).score_batch(users, ids, cands)
+    assert threading.active_count() == live
+
+
 # -- checkpoints ---------------------------------------------------------------------
 
 
@@ -927,6 +1056,41 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, value):
     save_checkpoint(path, store)
     with pytest.raises(CompatibilityError, match="parameter head_bias holds non-finite values"):
         load_checkpoint(path)
+
+
+def block_store():
+    """A store of 16 finiteness blocks and more."""
+    store = ParameterStore(ModelConfig(num_items=6000, num_users=2, latent_dim=64, scales=(1,)))
+    assert store.flat_values.size > 16 * model.FINITE_BLOCK
+    return store
+
+
+@pytest.mark.parametrize("grads", [False, True], ids=["values", "grads"])
+def test_the_blocked_finiteness_check_names_the_first_bad_parameter(grads):
+    store = block_store()
+    flat = store.flat_grads if grads else store.flat_values
+    ends = np.cumsum([p.value.size for p in store.named_parameters().values()])
+    names = list(store.named_parameters())
+    assert store.first_non_finite(grads) is None
+    for index in [model.FINITE_BLOCK - 1, model.FINITE_BLOCK, flat.size - 1]:
+        flat[index] = np.nan
+        assert store.first_non_finite(grads) == names[np.searchsorted(ends, index, "right")]
+        assert store.first_non_finite(not grads) is None
+        flat[index] = 0.0
+    flat[-1] = np.inf
+    flat[3 * model.FINITE_BLOCK] = -np.inf  # in item_embeddings, before the head
+    assert store.first_non_finite(grads) == "item_embeddings"
+
+
+def test_the_finiteness_check_allocates_one_blocks_mask_at_a_time():
+    store = block_store()
+    tracemalloc.start()
+    try:
+        assert store.first_non_finite() is None and store.first_non_finite(grads=True) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * model.FINITE_BLOCK < store.flat_values.size // 8
 
 
 def test_checkpoint_rejects_foreign_npz(tmp_path):

@@ -16,11 +16,11 @@ import pytest
 
 from qrseq import autodiff as ad
 from qrseq import rng as rng_streams
-from qrseq import training
+from qrseq import model, training
 from qrseq.data import make_splits
 from qrseq.errors import ConfigError, TrainingDivergedError
 from qrseq.evaluation import EvalConfig
-from qrseq.model import ModelConfig, ParameterStore
+from qrseq.model import ModelConfig, ModelScorer, ParameterStore
 from qrseq.training import AdamState, TrainConfig, adam_step, bce_loss, fit, train_epoch
 from helpers import chain_log, reference_adam_step
 
@@ -424,15 +424,15 @@ def sharded_setup(**model_overrides):
     log, model_cfg, splits = tiny_setup(num_users=80, num_items=60, seq_len=15,
                                         latent_dim=64, **model_overrides)
     assert len(splits.train_users) == 960
-    assert model_cfg.latent_dim * model_cfg.seq_len * 224 >= training.SHARD_MIN_ENTRIES
+    assert model_cfg.latent_dim * model_cfg.seq_len * 224 >= model.SHARD_MIN_ENTRIES
     return log, model_cfg, splits, TrainConfig(seed=21, lr=0.01, batch_size=512)
 
 
 def usable_cpus(monkeypatch, count, blas_threads="1"):
     """Let the process use `count` CPUs, with BLAS held to `blas_threads` by
     the environment (None: not held)."""
-    monkeypatch.setattr(training.os, "sched_getaffinity", lambda pid: set(range(count)))
-    for variable in training.BLAS_THREAD_VARIABLES:
+    monkeypatch.setattr(model.os, "sched_getaffinity", lambda pid: set(range(count)))
+    for variable in model.BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(variable, raising=False)
     if blas_threads is not None:
         monkeypatch.setenv("OMP_NUM_THREADS", blas_threads)
@@ -452,6 +452,19 @@ def recording_forward(monkeypatch):
         return real(store, contexts, users, candidates, **kwargs)
 
     monkeypatch.setattr(training, "forward_batch", forward)
+    return calls
+
+
+def recording_encode(monkeypatch):
+    """Wrap the model's `_encode`; each call appends its thread and (B, L) ids."""
+    calls = []
+    real = model._encode
+
+    def encode(store, item_ids, masks=None):
+        calls.append(SimpleNamespace(thread=threading.current_thread(), ids=item_ids))
+        return real(store, item_ids, masks)
+
+    monkeypatch.setattr(model, "_encode", encode)
     return calls
 
 
@@ -561,7 +574,7 @@ def test_a_mixed_epoch_runs_its_short_last_batch_whole_on_the_store(monkeypatch,
     # and its check sees its own gradients, none a sibling kept from before
     log, model_cfg, splits, cfg = sharded_setup(use_output_gate=True)
     cfg = replace(cfg, batch_size=450)
-    assert model_cfg.latent_dim * model_cfg.seq_len * 30 < training.SHARD_MIN_ENTRIES
+    assert model_cfg.latent_dim * model_cfg.seq_len * 30 < model.SHARD_MIN_ENTRIES
     usable_cpus(monkeypatch, cpus)
     calls = recording_forward(monkeypatch)
     checked = recording_checks(monkeypatch)
@@ -707,13 +720,22 @@ def test_a_shards_numpy_warnings_are_silenced_on_its_own_thread(monkeypatch):
 def test_run_shards_inline_keeps_every_shard_on_the_calling_thread(monkeypatch):
     log, model_cfg, splits, cfg = sharded_setup()
     usable_cpus(monkeypatch, 2)
-    monkeypatch.setattr(training, "_shards_inline", False)
-    training.run_shards_inline()
+    monkeypatch.setattr(model, "_shards_inline", False)
+    # 3 chunks of validation users at d = 128, each past SHARD_MIN_ENTRIES:
+    # a second thread is wanted for them
+    rows = np.arange(2 * model.SCORE_CHUNK + 10) % len(splits.val_users)
+    scorer = ModelScorer(ParameterStore(replace(model_cfg, latent_dim=128), np.random.default_rng(0)))
+    assert model._fills_a_thread(scorer.store.config, model.SCORE_CHUNK)
+    assert model._second_thread_wanted()
+    model.run_shards_inline()
     calls = recording_forward(monkeypatch)
     store = ParameterStore(model_cfg, rng_streams.stream(21, "init"))
     train_epoch(log, splits, store, AdamState(store), cfg, epoch=1)
-    assert len(calls) == 4
-    assert all(c.thread is threading.main_thread() for c in calls)
+    encodes = recording_encode(monkeypatch)
+    scorer.score_batch(splits.val_users[rows], splits.val_contexts[rows],
+                       splits.val_targets[rows][:, None])
+    assert len(calls) == 4 and len(encodes) == 3
+    assert all(c.thread is threading.main_thread() for c in calls + encodes)
 
 
 def ad_forward(store, contexts, users, candidates):
