@@ -28,9 +28,12 @@ fails with numpy's read-only ``ValueError``.
 
 A training loop may pass one ``Workspace`` to ``record`` for every step:
 ops record into arrays taken from it, and ``backward`` gives it back each
-array of 64 KiB or more that it frees and nothing else references, so the
-steps reuse the same memory instead of returning it to the C allocator
-and faulting it back in. Values are the same with or without one.
+record's value and adjoint of 64 KiB or more that nothing else references
+once the walk has passed them, so the next step's forward pass reuses that
+memory instead of faulting it back in from the C allocator. An adjoint
+contribution that a step merges into another goes back to the allocator
+at once, where arrays of any shape reuse it. Values are the same with or
+without a workspace.
 
 ``backward`` pops each record as its step runs and drops the record's
 value, closure and adjoint there, not after the whole walk: a value that
@@ -176,13 +179,15 @@ class Workspace:
     """Arrays one recorded step leaves for the next to reuse.
 
     A training loop passes the same workspace to `record` for each step.
-    `backward` gives it each adjoint and forward value it drops, keeping
-    only arrays nothing else references; the ops of the next step, and
-    their backward steps, take their output arrays from it by shape. So
-    the steps reuse the same memory. Freed instead, a step's arrays would
-    go back to the C allocator, which returns the top of its heap to the
-    system once the free space there passes its trim threshold, and the
-    next step would fault every page in again.
+    `backward` gives it each record's adjoint and forward value as the walk
+    passes them, keeping only arrays nothing else references; the ops of
+    the next step, and their backward steps, take their output arrays from
+    it by shape. So the steps reuse the same memory. Freed instead, a
+    step's arrays would go back to the C allocator, which returns the top
+    of its heap to the system once the free space there passes its trim
+    threshold, and the next step would fault every page in again. A
+    contribution merged into an adjoint is not given: the C allocator
+    reuses it at once, within the step, for arrays of any shape.
 
     `take` serves what the last step gave first, then what this step has
     given so far (arrays `backward` and in-place ops released early). At
@@ -191,12 +196,11 @@ class Workspace:
     arrays.
     """
 
-    __slots__ = ("_spare", "_given", "_dropped")
+    __slots__ = ("_spare", "_given")
 
     def __init__(self):
         self._spare: dict[tuple[int, ...], list[np.ndarray]] = {}  # the last step's
         self._given: dict[tuple[int, ...], list[np.ndarray]] = {}  # this step's
-        self._dropped: list[np.ndarray] = []  # to give once the running step returns
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray | None:
         """A spare array of `shape` with stale entries, None if there is none."""
@@ -211,21 +215,9 @@ class Workspace:
             a.flags.writeable = True
             self._given.setdefault(a.shape, []).append(a)
 
-    def drop(self, a: np.ndarray) -> None:
-        """Note that a running backward step is done with `a`."""
-        self._dropped.append(a)
-
-    def collect(self) -> None:
-        """Give what the step that has just returned dropped."""
-        dropped = self._dropped
-        while dropped:
-            a = dropped.pop()  # popped, so `a` is this frame's one reference
-            self.give(a)
-
     def end_step(self) -> None:
         """Drop what the last step gave and this one did not take."""
         self._spare, self._given = self._given, {}
-        self._dropped.clear()
 
 
 class Tape:
@@ -309,7 +301,6 @@ def backward(root: Tensor) -> None:
             value = out.value
             out.grad = out = step = None  # the record's last references, bar the caller's own
             if workspace is not None:
-                workspace.collect()
                 if g is not None:
                     g = g if g.base is None else g.base  # a view's last holder frees its base
                     workspace.give(g)
@@ -329,40 +320,27 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     `g` is the step's read-only upstream adjoint or a view of it, which
     other inputs may share, or an array computed for `t` alone. Only a
     writable adjoint, held by `t` alone, is added into in place. An array
-    this leaves unused is dropped to the workspace.
+    this leaves unused goes back to the C allocator, not to the workspace.
     """
     if t.grad is None:
         t.grad = g
-        return
-    if t.grad.flags.writeable:
+    elif t.grad.flags.writeable:
         t.grad += g
     else:
-        _drop(t.grad)
         t.grad = np.add(t.grad, g, out=_empty(t.grad.shape))
-    if g.flags.writeable:
-        _drop(g)
 
 
 def _adjoint(t: Tensor) -> np.ndarray:
     """`t`'s adjoint for an in-place (scatter) update: zero-filled on first
-    use, copied first when it is read-only (shared with other adjoints)."""
+    use, copied first when it is read-only (shared with other adjoints),
+    and the shared array is left to its other holders."""
     if t.grad is None:
         t.grad = _empty(t.shape)
         t.grad.fill(0.0)
     elif not t.grad.flags.writeable:
-        shared = t.grad
-        t.grad = _empty(t.shape)
+        shared, t.grad = t.grad, _empty(t.shape)
         np.copyto(t.grad, shared)
-        _drop(shared)
     return t.grad
-
-
-def _drop(a: np.ndarray) -> None:
-    """Hand the workspace, if this thread has one, an array that the running
-    backward step is done with; `backward` gives it once the step returns."""
-    workspace = _tls.workspace
-    if workspace is not None and a.nbytes >= SPARE_MIN_BYTES:
-        workspace.drop(a)
 
 
 def _give_up(op: str, t: Tensor, *others: Tensor) -> np.ndarray:

@@ -223,7 +223,11 @@ def train_epoch(log: InteractionLog, splits: SplitDataset, store: ParameterStore
     # shard the same shard's, and the worker is joined when the epoch ends.
     planned = _shards(store.config, min(config.batch_size, n))
     stores = [store] + [ParameterStore.over(store.config, store.flat_values) for _ in planned[1:]]
-    workspaces = [ad.Workspace() for _ in planned]
+    # a workspace keeps only arrays of SPARE_MIN_BYTES or more: a shard whose
+    # (d, L*B) matrix is smaller gets none
+    per_sequence = store.config.latent_dim * store.config.seq_len * store.flat_values.itemsize
+    workspaces = [ad.Workspace() if per_sequence * (sl.stop - sl.start) >= ad.SPARE_MIN_BYTES
+                  else None for sl in planned]
     with _second_thread(len(planned) > 1, "qrseq-shard") as worker:
         for step, lo in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[lo:lo + config.batch_size]

@@ -346,51 +346,117 @@ def test_train_epoch_with_its_workspace_is_bit_equal_to_one_without(monkeypatch)
 
 
 class CountingWorkspace(ad.Workspace):
-    """A workspace that counts, per step, the requests for arrays of
-    SPARE_MIN_BYTES or more it served ([0]) and could not serve ([1])."""
+    """A workspace that records, per step, the requests for arrays of
+    SPARE_MIN_BYTES or more it served and could not serve, in all and in
+    the forward pass (`counting_workspaces` notes those, and the bytes of
+    such arrays the step's tape recorded, as `backward` starts), and the
+    bytes it holds once the step has ended."""
 
-    __slots__ = ("counts",)
+    __slots__ = ("steps",)
 
     def __init__(self):
         super().__init__()
-        self.counts = [[0, 0]]
+        self.steps = [self._step()]
+
+    @staticmethod
+    def _step():
+        return SimpleNamespace(hits=0, misses=0, forward=None, tape_bytes=0, held_bytes=0)
 
     def take(self, shape):
         a = super().take(shape)
         if np.prod(shape) * 8 >= ad.SPARE_MIN_BYTES:
-            self.counts[-1][a is None] += 1
+            if a is None:
+                self.steps[-1].misses += 1
+            else:
+                self.steps[-1].hits += 1
         return a
 
     def end_step(self):
         super().end_step()
-        self.counts.append([0, 0])
+        self.steps[-1].held_bytes = sum(a.nbytes for stack in self._spare.values() for a in stack)
+        self.steps.append(self._step())
 
 
-def test_a_training_step_takes_every_large_array_from_the_workspace_from_the_second_on(
-        monkeypatch):
-    # the default model (d = 128, scales 1-5, L = 5) at batches of 64: its
-    # (d, L*B) arrays are 320 KiB. The first batch fills the workspace; from
-    # the second on, a step misses only if an array it dropped was not given
-    # back (`Workspace.give` misjudging who holds it, or a path that frees
-    # it without giving it)
-    log = chain_log(num_users=60, num_items=80, seq_len=8, seed=3)
-    config = ModelConfig(num_items=log.item_count, num_users=log.user_count)
-    splits = make_splits(log, config.seq_len)
-    full = len(splits.train_users) // 64
-    assert full >= 3
+def large_tape_bytes(tape: ad.Tape) -> int:
+    """Bytes of the distinct arrays of SPARE_MIN_BYTES or more that `tape`'s
+    record values hold (a value may view another's array). Holds none of
+    them on return, so `Workspace.give` still finds each one unshared."""
+    sizes = {}
+    for out, _ in tape.records:
+        base = out.value if out.value.base is None else out.value.base
+        sizes[id(base)] = base.nbytes
+    return sum(n for n in sizes.values() if n >= ad.SPARE_MIN_BYTES)
+
+
+def counting_workspaces(monkeypatch) -> list[CountingWorkspace]:
+    """Make the training loop's workspaces CountingWorkspaces, listed in the
+    order made, and have `backward` note in them each step's tape bytes and
+    forward hits and misses."""
     made = []
+    real_backward = ad.backward
 
     def workspace():
         made.append(CountingWorkspace())
         return made[-1]
 
+    def backward(root):
+        if root.tape.workspace is not None:
+            step = root.tape.workspace.steps[-1]
+            step.tape_bytes = large_tape_bytes(root.tape)
+            step.forward = (step.hits, step.misses)
+        real_backward(root)
+
     monkeypatch.setattr(training.ad, "Workspace", workspace)
+    monkeypatch.setattr(training.ad, "backward", backward)
+    return made
+
+
+def assert_bounded_steady_reuse(workspace: CountingWorkspace, full_steps: int) -> None:
+    """After each full step the workspace holds no more than the step's tape
+    recorded in large arrays; the first step fills it, and every later one
+    takes the same number of arrays from it, more than the first could take
+    from what it gave itself."""
+    steps = workspace.steps[:full_steps]
+    assert all(0 < s.held_bytes <= s.tape_bytes for s in steps), steps
+    first, *rest = steps
+    assert first.misses > 0
+    assert rest and all(s.hits == rest[0].hits > first.hits for s in rest), steps
+
+
+def test_a_steps_workspace_holds_at_most_its_tape_bytes_and_reuses_steadily(
+        monkeypatch):
+    # the default model (d = 128, scales 1-5, L = 5) at batches of 64: its
+    # (d, L*B) arrays are 320 KiB. A workspace that kept each merged adjoint
+    # contribution would hold 1.5 times the tape's bytes (11.5 against 7.5 MB)
+    log = chain_log(num_users=60, num_items=80, seq_len=8, seed=3)
+    config = ModelConfig(num_items=log.item_count, num_users=log.user_count)
+    splits = make_splits(log, config.seq_len)
+    full = len(splits.train_users) // 64
+    assert full >= 3
+    made = counting_workspaces(monkeypatch)
     store = ParameterStore(config, rng_streams.stream(5, "init"))
     train_epoch(log, splits, store, AdamState(store), TrainConfig(seed=5, batch_size=64), 1)
     (workspace,) = made
-    first, *rest = workspace.counts[:full]
-    assert first[1] > 0
-    assert all(hits > 0 and misses == 0 for hits, misses in rest), workspace.counts
+    assert_bounded_steady_reuse(workspace, full)
+    # exact for the default model's ops: from the second step on, the forward
+    # pass misses 6 arrays of (128, 320) and backward 29. A workspace that
+    # also kept the contributions each step merges into adjoints missed none
+    # (118 hits), at 1.5 times the bytes
+    assert all((s.forward, s.hits, s.misses) == ((44, 6), 83, 35)
+               for s in workspace.steps[1:full]), workspace.steps
+
+
+def test_an_epoch_makes_a_workspace_only_for_shards_whose_arrays_it_would_keep(monkeypatch):
+    # criterion 1's sizes (d = 8, batches of 3): a (d, L*B) array is 960
+    # bytes, far below SPARE_MIN_BYTES, so a workspace would keep nothing.
+    # d = 32 at batches of 64, as in the bit-equality test above: 80 KiB
+    made = counting_workspaces(monkeypatch)
+    for latent_dim, batch_size, workspaces in ((8, 3, 0), (32, 64, 1)):
+        log, model_cfg, splits = tiny_setup(num_users=80, num_items=60, latent_dim=latent_dim)
+        store = ParameterStore(model_cfg, rng_streams.stream(3, "init"))
+        train_epoch(log, splits, store, AdamState(store),
+                    TrainConfig(seed=3, batch_size=batch_size), epoch=1)
+        assert len(made) == workspaces
 
 
 def test_single_window_overfits_quickly():
@@ -635,21 +701,15 @@ def test_shards_take_slices_of_the_batchs_single_draw_of_dropout_masks(monkeypat
             assert np.array_equal(got_second, drawn[..., len(first.users):])
 
 
-def test_each_shard_takes_every_large_array_from_its_workspace_from_the_second_step_on(
+def test_each_shards_workspace_holds_at_most_its_tape_bytes_and_reuses_steadily(
         monkeypatch):
-    # as for one shard, below: the default model at batches of 512 is
+    # as for one shard, above: the default model at batches of 512 is
     # sharded, and the second shard's workspace serves its worker thread
     log = chain_log(num_users=100, num_items=80, seq_len=20, seed=3)
     config = ModelConfig(num_items=log.item_count, num_users=log.user_count)
     splits = make_splits(log, config.seq_len)
     assert len(splits.train_users) // 512 == 3
-    made = []
-
-    def workspace():
-        made.append(CountingWorkspace())
-        return made[-1]
-
-    monkeypatch.setattr(training.ad, "Workspace", workspace)
+    made = counting_workspaces(monkeypatch)
     usable_cpus(monkeypatch, 2)
     calls = recording_forward(monkeypatch)
     store = ParameterStore(config, rng_streams.stream(5, "init"))
@@ -657,9 +717,7 @@ def test_each_shard_takes_every_large_array_from_its_workspace_from_the_second_s
     assert any(c.thread is not threading.main_thread() for c in calls)
     assert len(made) == 2
     for workspace in made:
-        first, *rest = workspace.counts[:3]
-        assert first[1] > 0
-        assert all(hits > 0 and misses == 0 for hits, misses in rest), workspace.counts
+        assert_bounded_steady_reuse(workspace, 3)
 
 
 def test_an_unsharded_epoch_starts_no_thread(monkeypatch):
